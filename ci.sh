@@ -32,37 +32,26 @@ else
     echo "==> clippy unavailable, skipping" >&2
 fi
 
-# The repo lint in both feature states (the obs feature changes what
-# code is compiled, not what is on disk, but running the linter from the
-# obs-featured build proves the xtask binary itself stays warning- and
-# behavior-clean under the feature), emitting the SARIF artifact and
-# checking it is well-formed with the repo's own checker.
+# The repo lint, emitting the SARIF artifact and checking it is
+# well-formed with the repo's own checker.
 run cargo run --offline -q -p xtask -- lint --sarif lint.sarif
-run cargo run --offline -q -p xtask --features obs -- lint
 run cargo run --offline -q -p xtask -- sarif-check lint.sarif
 
-# Warning gate: a clean `cargo build` in BOTH feature states. The obs
-# feature must not introduce warnings (its macros expand differently in
-# each state), and a warning-free default build is the baseline anyway.
-build_warning_free() {
-    echo "==> cargo build --workspace $* (deny warnings)"
-    local log
-    log="$(mktemp)"
-    cargo build --offline --workspace "$@" 2>"$log" || {
-        cat "$log" >&2
-        rm -f "$log"
-        return 1
-    }
-    if grep -E "^warning" "$log" >/dev/null; then
-        echo "==> build warnings under '$*':" >&2
-        cat "$log" >&2
-        rm -f "$log"
-        return 1
-    fi
-    rm -f "$log"
+# Warning gate: a clean `cargo build` of the whole workspace.
+echo "==> cargo build --workspace (deny warnings)"
+build_log="$(mktemp)"
+cargo build --offline --workspace 2>"$build_log" || {
+    cat "$build_log" >&2
+    rm -f "$build_log"
+    exit 1
 }
-build_warning_free
-build_warning_free --features obs
+if grep -E "^warning" "$build_log" >/dev/null; then
+    echo "==> build warnings:" >&2
+    cat "$build_log" >&2
+    rm -f "$build_log"
+    exit 1
+fi
+rm -f "$build_log"
 
 # Determinism gate: the parallel executors must be bit-identical to their
 # sequential counterparts at every thread count. Run explicitly (they are
@@ -80,81 +69,62 @@ run cargo test --offline -q -p routing --test msbfs_valleyfree
 # explicitly rebuilt surviving subgraph at every epoch of a random
 # schedule, schedules must survive JSON round trips semantically, and
 # chaos traces must stay bit-identical across thread counts and a
-# schedule save/load. Both feature states: the obs counters the chaos
-# layer emits must never perturb results.
+# schedule save/load (the last in the brokerset determinism gate above).
 run cargo test --offline -q -p netgraph --test fault_props
-run cargo test --offline -q -p netgraph --test fault_props --features obs
-run cargo test --offline -q -p brokerset --test determinism --features obs
 
 # Churn gate: delta application must equal an explicit rebuild (view and
 # CSR), and the incrementally maintained broker set must match a full
 # recompute on every prefix of arbitrary delta sequences (exactly under
 # forced rebuilds, within the pinned coverage-gap bound under forced
-# patching). Both feature states: the evolve/incremental obs counters
-# must never perturb maintenance decisions.
+# patching).
 run cargo test --offline -q -p netgraph --test delta_props
-run cargo test --offline -q -p netgraph --test delta_props --features obs
 run cargo test --offline -q -p brokerset --test incremental_diff
-run cargo test --offline -q -p brokerset --test incremental_diff --features obs
 
 # Query-plane gate: the reachability index must answer exactly like the
 # independent BFS oracle on random graphs under random fault schedules
 # and topology deltas (property-tested), and the brokerd wire protocol
-# must survive malformed frames with clean error replies. Both feature
-# states for the index: obs counters must never perturb answers.
+# must survive malformed frames with clean error replies.
 run cargo test --offline -q -p brokerset --test index_props
-run cargo test --offline -q -p brokerset --test index_props --features obs
 run cargo test --offline -q -p broker-net --test proto_server
 
 # Planner gate: every reconfiguration plan must be certificate-clean —
 # acyclic, step set equal to the config diff, and every topological cut
 # state Validate-clean — with execution traces bit-identical across
-# thread counts (differential proptests). Both feature states: obs
-# counters must never perturb plan shape or trace checksums. The
-# ext_plan golden (DAG shape + cross-thread checksums on the recorded
-# epoch stream) rides in the `bins golden` lines below, which already
-# run in both states.
+# thread counts (differential proptests). The ext_plan golden (DAG
+# shape + cross-thread checksums on the recorded epoch stream) rides in
+# the `bins golden` line below.
 run cargo test --offline -q -p routing --test plan_props
-run cargo test --offline -q -p routing --test plan_props --features obs
 
-# Observability gates: the obs contract suite in both feature states
-# (macro unit-expansion, bucket math, thread-count-invariant snapshots),
+# Observability gates: the obs contract suite (bucket math,
+# thread-count-invariant snapshots, pinned per-vertex work counters),
 # the economics axioms, and the golden result snapshots (table3, fig2a,
-# ext_chaos, ext_evolve) — the goldens again under obs, since recorded
-# results must be bit-identical across instrumentation states.
+# ext_chaos, ext_evolve). The counters are always on, so the goldens
+# and the checksum below show they only observe.
 run cargo test --offline -q -p netgraph --test obs
-run cargo test --offline -q -p netgraph --test obs --features obs
 run cargo test --offline -q -p economics --test axioms
 run cargo test --offline -q -p bench --test bins golden
-run cargo test --offline -q -p bench --test bins golden --features obs
 
 run cargo test --offline -q --workspace
 
-# The workspace suite again with instrumentation compiled in: metrics
-# must never change results, only observe them.
-run cargo test --offline -q --workspace --features obs
-
-# Perf smoke gate: the quarter-scale (13k-node) engine bench in both
-# feature states. engine_bench hard-asserts its own acceptance floors
-# (threaded exact l-hop speedup when the host has the cores for it) and
-# thread-count / permuted-layout bit-identity; here we additionally pin
-# that instrumentation does not change the exact-curve checksum.
-perf_smoke() {
-    echo "==> engine_bench --scale quarter $*" >&2
-    cargo run --offline --release -q -p bench "$@" --bin engine_bench -- \
-        --scale quarter --threads 0 \
-        | sed -n 's/^  curve_checksum: \([0-9a-f]\{16\}\).*/\1/p'
-}
-# obs first, default last, so the committed BENCH_engine.json entry
-# reflects the uninstrumented build.
-checksum_obs=$(perf_smoke --features obs)
-checksum_default=$(perf_smoke)
-if [ "$checksum_default" != "$checksum_obs" ]; then
-    echo "==> quarter-scale curve checksum differs across obs states:" >&2
-    echo "    default: $checksum_default, obs: $checksum_obs" >&2
+# Perf smoke gate: the quarter-scale (13k-node) engine bench.
+# engine_bench hard-asserts its own acceptance floors (threaded exact
+# l-hop speedup when the host has the cores for it) and thread-count /
+# permuted-layout bit-identity; here we additionally pin its exact-curve
+# checksum to the committed BENCH_engine.json quarter entry. It runs in
+# a scratch directory so the tracked BENCH_engine.json is not rewritten.
+cargo build --offline --release -q -p bench --bins
+expected=$(sed -n '/^      "scale": "quarter"/,/^      "scale": /s/^      "curve_checksum": "\([0-9a-f]\{16\}\)".*/\1/p' BENCH_engine.json)
+smoke_dir="$(mktemp -d)"
+echo "==> engine_bench --scale quarter (in $smoke_dir)" >&2
+engine_bench="$PWD/target/release/engine_bench"
+checksum=$(cd "$smoke_dir" && "$engine_bench" --scale quarter --threads 0 \
+    | sed -n 's/^  curve_checksum: \([0-9a-f]\{16\}\).*/\1/p')
+rm -rf "$smoke_dir"
+if [ -z "$expected" ] || [ "$checksum" != "$expected" ]; then
+    echo "==> quarter-scale curve checksum $checksum, committed BENCH_engine.json says $expected" >&2
     exit 1
 fi
-echo "==> quarter-scale perf smoke passed (checksum $checksum_default)"
+echo "==> quarter-scale perf smoke passed (checksum $checksum)"
 
 # Serve smoke gate: a real brokerd on an ephemeral port, driven by the
 # serve_bench client in attach mode — 10k queries over TCP whose answer
@@ -165,7 +135,6 @@ echo "==> quarter-scale perf smoke passed (checksum $checksum_default)"
 # starts serving. The loop below only scrapes the port number out of
 # the log; it never waits out the index build.
 echo "==> serve smoke: brokerd + serve_bench --attach" >&2
-cargo build --offline --release -q -p bench --bins
 brokerd_log="$(mktemp)"
 ./target/release/brokerd tiny 7 --port 0 >"$brokerd_log" 2>&1 &
 brokerd_pid=$!

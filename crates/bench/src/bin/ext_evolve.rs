@@ -23,7 +23,7 @@
 //! `netgraph::par::map_auto` (adaptive chunking) at thread counts 1, 2,
 //! 4 and 7; `maintenance_checksum` is an FNV-1a over the exact broker
 //! ids, coverage values and swap counts of every epoch and must be
-//! identical at every thread count and across obs on/off builds.
+//! identical at every thread count.
 //!
 //! Finally the same timeline composes with a [`netgraph::FaultSchedule`]
 //! (broker defections mid-growth) and supervised sessions replay over
@@ -224,7 +224,7 @@ fn main() {
         "maintenance checksum is thread-count dependent: {checksums:x?}"
     );
     let maintenance_checksum = checksums[0];
-    println!("maintenance_checksum: {maintenance_checksum:016x} (threads 1/2/4/7, obs on/off)");
+    println!("maintenance_checksum: {maintenance_checksum:016x} (threads 1/2/4/7)");
 
     // Compose churn with faults in one timeline: two maintained brokers
     // defect mid-growth and recover near the end while supervised
@@ -377,7 +377,6 @@ fn main() {
             "gap_bound": GAP_BOUND,
             "swaps_per_epoch": reports.iter().map(|r| r.swaps() as u64).collect::<Vec<u64>>(),
             "maintenance_checksum": format!("{maintenance_checksum:016x}"),
-            "obs_enabled": netgraph::obs::enabled(),
         });
         let record = bench::ExperimentRecord::new("ext_evolve", &rc, data);
         let json = serde_json::to_string_pretty(&record).expect("serialize bench record");

@@ -165,7 +165,7 @@ fn main() {
         "\nplanned: {} transitions, {agg_steps} steps; width {agg_width}, depth {agg_depth};\n\
          makespan {agg_makespan} vs sequential {agg_seq} units — speedup {speedup:.2}x;\n\
          {cert_checks} certificate checks, {cuts_validated} cut states validated;\n\
-         plan_checksum {plan_checksum:016x} (threads 1/2/4/7, obs on/off)",
+         plan_checksum {plan_checksum:016x} (threads 1/2/4/7)",
         transitions.len(),
     );
     if !matches!(rc.scale, Scale::Tiny) {
@@ -213,7 +213,6 @@ fn main() {
             "exec_threads": THREADS.to_vec(),
             "exec_total_s": exec_s,
             "plan_checksum": format!("{plan_checksum:016x}"),
-            "obs_enabled": netgraph::obs::enabled(),
         });
         let record = bench::ExperimentRecord::new("ext_plan", &rc, data);
         let json = serde_json::to_string_pretty(&record).expect("serialize bench record");

@@ -523,7 +523,6 @@ fn main() {
             "hardware_threads": hw,
         },
         "deterministic": deterministic.clone(),
-        "obs_enabled": netgraph::obs::enabled(),
         "wall_s_total": wall_start.elapsed().as_secs_f64(),
     });
 

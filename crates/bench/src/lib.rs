@@ -24,8 +24,7 @@ pub struct RunConfig {
     /// threads). Results are identical at every setting.
     pub threads: usize,
     /// Where to dump a `netgraph::obs` metrics snapshot at the end of
-    /// the run (`--obs PATH`). Meaningful only in `--features obs`
-    /// builds; otherwise the dump is empty and says so.
+    /// the run (`--obs PATH`).
     pub obs: Option<std::path::PathBuf>,
     /// Directory to save this run's [`ExperimentRecord`] under
     /// (`--record DIR`) for the golden-snapshot tests.
@@ -186,10 +185,8 @@ impl RunConfig {
     }
 
     /// Dump a `netgraph::obs` snapshot to the `--obs` path, if one was
-    /// given, and print a one-line digest of the run's engine behaviour
-    /// to stderr (arena-pool hit rate, push vs pull expansions). A no-op
-    /// without `--obs`; in a build without the `obs` feature the dump
-    /// still happens but contains no metrics (and the digest says so).
+    /// given, and print its one-line [digest](netgraph::obs::Snapshot::digest)
+    /// to stderr. A no-op without `--obs`.
     ///
     /// # Errors
     ///
@@ -200,7 +197,7 @@ impl RunConfig {
         };
         let snap = netgraph::obs::snapshot();
         std::fs::write(path, snap.to_json())?;
-        eprintln!("[obs] {id}: {}", obs_digest(&snap));
+        eprintln!("[obs] {id}: {}", snap.digest());
         eprintln!("[obs] snapshot written to {}", path.display());
         Ok(())
     }
@@ -270,33 +267,6 @@ impl ParsedExtras {
 
 fn budget(n: usize, frac: f64) -> usize {
     ((n as f64 * frac).round() as usize).max(1)
-}
-
-/// One-line human digest of an obs snapshot: the numbers a profiling run
-/// checks first. Reports "instrumentation off" for feature-off builds.
-pub fn obs_digest(snap: &netgraph::obs::Snapshot) -> String {
-    if !netgraph::obs::enabled() {
-        return "instrumentation off (rebuild with --features obs)".to_string();
-    }
-    let c = |name: &str| snap.counter(name).unwrap_or(0);
-    let hit_rate = |acq: u64, fresh: u64| {
-        if acq + fresh == 0 {
-            "n/a".to_string()
-        } else {
-            format!("{:.1}%", 100.0 * acq as f64 / (acq + fresh) as f64)
-        }
-    };
-    format!(
-        "msbfs pool hit {} | arena pool hit {} | worker reuse {} | push/pull expansions {}/{} | levels {} | par chunks {} | steals {}",
-        hit_rate(c("msbfs.pool.acquire"), c("msbfs.pool.fresh")),
-        hit_rate(c("arena.pool.acquire"), c("arena.pool.fresh")),
-        hit_rate(c("par.pool_reuse"), c("par.pool.spawn")),
-        c("msbfs.push_expansions"),
-        c("msbfs.pull_expansions"),
-        c("msbfs.levels"),
-        c("par.chunks"),
-        c("par.steal"),
-    )
 }
 
 /// Evaluate an l-hop curve using all available cores (identical output
@@ -531,7 +501,7 @@ mod tests {
             &rc,
             serde_json::json!({"k": [25, 247], "sat": [0.51, 0.88]}),
         );
-        let dir = std::env::temp_dir().join("bench-record-test");
+        let dir = std::env::temp_dir().join(format!("bench-record-test-{}", std::process::id()));
         let path = rec.save(&dir).expect("record saves to temp dir");
         let text = std::fs::read_to_string(&path).expect("saved record is readable");
         let back: ExperimentRecord = serde_json::from_str(&text).expect("saved record parses back");

@@ -30,7 +30,6 @@
 pub mod bargain;
 pub mod coalition;
 pub mod revenue;
-pub mod sensitivity;
 pub mod shapley;
 pub mod solver;
 pub mod stackelberg;
@@ -39,7 +38,6 @@ pub mod validate;
 pub use bargain::{nash_bargain, BargainConfig, BargainOutcome};
 pub use coalition::{is_in_core, is_superadditive, is_supermodular, CharacteristicFn};
 pub use revenue::{account_path, AggregateLedger, PathLedger, Tariff};
-pub use sensitivity::{elasticity, sensitivity_profile, Elasticity, Knob};
 pub use shapley::{shapley_exact, shapley_monte_carlo, ShapleyResult};
 pub use stackelberg::{CustomerAs, StackelbergEquilibrium, StackelbergGame};
 pub use validate::{AuditReport, BargainCertificate, ShapleyCertificate, Validate};

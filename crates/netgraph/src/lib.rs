@@ -58,16 +58,14 @@
 //! - [`alphabeta`] — (α, β)-graph property estimation (Definition 2 of the
 //!   paper).
 //! - [`export`] — DOT / edge-list export for visualization.
-//! - [`obs`] — zero-overhead observability: [`counter!`], [`histogram!`]
-//!   and [`span!`] macros (no-ops unless the `obs` cargo feature is on)
-//!   plus the JSON-serializable [`obs::Snapshot`].
+//! - [`obs`] — always-on observability: [`counter!`], [`histogram!`]
+//!   and [`span!`] macros plus the JSON-serializable [`obs::Snapshot`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod alphabeta;
-pub mod binio;
 pub mod centrality;
 pub mod components;
 pub mod delta;
@@ -87,7 +85,6 @@ pub mod validate;
 pub mod view;
 
 pub use alphabeta::{estimate_alpha, hop_histogram, AlphaBetaEstimate, HopHistogram};
-pub use binio::{graph_from_bytes, graph_to_bytes, CodecError};
 pub use centrality::{coreness, degree_sequence, pagerank, top_by_score, PageRankConfig};
 pub use components::{
     connected_components, giant_component, view_components, Components, UnionFind,

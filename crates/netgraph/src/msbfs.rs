@@ -294,24 +294,22 @@ impl MsBfsArena {
             };
             if pull {
                 // Bottom-up: every vertex with undiscovered lanes gathers
-                // the frontier masks of its (symmetric) neighbors. The
-                // obs arguments below are evaluated only in `obs` builds.
+                // the frontier masks of its (symmetric) neighbors.
                 let () = crate::histogram!(
                     "msbfs.pull_frontier_permille",
                     (front.len() * 1000 / n.max(1)) as u64
                 );
-                let () = crate::counter!(
-                    "msbfs.pull_expansions",
-                    (0..n).filter(|&i| seen[i] != seeded).count() as u64
-                );
+                let mut gathered = 0u64;
                 for i in 0..n {
                     if seen[i] == seeded {
                         continue;
                     }
+                    gathered += 1;
                     let mut m = 0u64;
                     view.for_each_neighbor(NodeId(i as u32), |v| m |= frontier[v.index()]);
                     next[i] = m;
                 }
+                let () = crate::counter!("msbfs.pull_expansions", gathered);
             } else {
                 // Top-down: every frontier vertex scatters its mask
                 // across its surviving edges.

@@ -1,18 +1,18 @@
 //! Correctness suite for `netgraph::obs`: bucket math, counter wrap
 //! semantics, snapshot determinism under the parallel executor, and the
-//! macro unit-expansion contract.
+//! exact values of the counters that summarize per-vertex work.
 //!
-//! The whole suite runs in BOTH feature states. With `obs` off the
-//! registry is empty and `enabled()` is `false`; the tests then verify
-//! exactly that (macros still compile, snapshots stay empty) instead of
-//! skipping. Registry-touching tests serialize through [`REG_LOCK`]
-//! because metrics are process-global and `cargo test` runs tests
-//! concurrently within this binary.
+//! Registry-touching tests serialize through [`REG_LOCK`] because metrics
+//! are process-global and `cargo test` runs tests concurrently within
+//! this binary.
 
 use netgraph::graph::from_edges;
 use netgraph::obs;
-use netgraph::{msbfs, par, FullView, NodeId};
+use netgraph::{msbfs, par, FullView, Graph, NodeId, NodeSet};
+use routing::valleyfree::ReachOptions;
+use routing::{valley_free_path, valley_free_reach, PolicyGraph};
 use std::sync::Mutex;
+use topology::{InternetConfig, Scale};
 
 /// Serializes tests that reset / read the global metrics registry.
 static REG_LOCK: Mutex<()> = Mutex::new(());
@@ -21,6 +21,20 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     REG_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A ring plus chords: large enough for several BFS levels, and dense
+/// enough mid-run that `Direction::Auto` switches to bottom-up pull.
+fn ring_with_chords(n: usize) -> Graph {
+    from_edges(
+        n,
+        (0..n as u32).flat_map(|i| {
+            [
+                (NodeId(i), NodeId((i + 1) % n as u32)),
+                (NodeId(i), NodeId((i + 7) % n as u32)),
+            ]
+        }),
+    )
 }
 
 #[test]
@@ -46,13 +60,11 @@ fn bucket_boundaries_are_log2() {
 }
 
 #[test]
-fn macros_expand_to_unit_in_both_feature_states() {
-    // The off-build macros expand to `()`; the on-build counter! and
-    // histogram! evaluate to `()` too. This must compile either way.
+fn macros_expand_to_unit() {
+    // counter! and histogram! evaluate to `()`; span! yields a guard.
     let () = netgraph::counter!("obs_test.unit");
     let () = netgraph::counter!("obs_test.unit", 3);
     let () = netgraph::histogram!("obs_test.unit_hist", 5);
-    // span! yields a guard in obs builds and `()` otherwise; both bind.
     let _guard = netgraph::span!("obs_test.unit_span");
 }
 
@@ -62,14 +74,8 @@ fn counter_wraps_on_overflow() {
     obs::reset();
     let () = netgraph::counter!("obs_test.overflow", u64::MAX);
     let () = netgraph::counter!("obs_test.overflow", 2);
-    let snap = obs::snapshot();
-    if obs::enabled() {
-        // fetch_add wraps: MAX + 2 == 1.
-        assert_eq!(snap.counter("obs_test.overflow"), Some(1));
-    } else {
-        assert_eq!(snap.counter("obs_test.overflow"), None);
-        assert!(snap.counters.is_empty() && snap.histograms.is_empty());
-    }
+    // fetch_add wraps: MAX + 2 == 1.
+    assert_eq!(obs::snapshot().counter("obs_test.overflow"), Some(1));
 }
 
 #[test]
@@ -78,13 +84,8 @@ fn histogram_records_land_in_documented_buckets() {
     obs::reset();
     for v in [0u64, 1, 1, 3, 8, 1023] {
         let () = netgraph::histogram!("obs_test.hist", v);
-        let _ = v; // the off-build macro does not evaluate its argument
     }
     let snap = obs::snapshot();
-    if !obs::enabled() {
-        assert!(snap.histogram("obs_test.hist").is_none());
-        return;
-    }
     let h = snap
         .histogram("obs_test.hist")
         .expect("histogram registered");
@@ -113,17 +114,8 @@ fn histogram_records_land_in_documented_buckets() {
 #[test]
 fn snapshot_counters_are_thread_count_invariant() {
     let _g = lock();
-    // A ring plus chords: large enough for several BFS levels.
     let n = 256;
-    let g = from_edges(
-        n,
-        (0..n as u32).flat_map(|i| {
-            [
-                (NodeId(i), NodeId((i + 1) % n as u32)),
-                (NodeId(i), NodeId((i + 7) % n as u32)),
-            ]
-        }),
-    );
+    let g = ring_with_chords(n);
     let sources: Vec<NodeId> = g.nodes().collect();
 
     let run = |threads: usize| {
@@ -148,16 +140,77 @@ fn snapshot_counters_are_thread_count_invariant() {
     };
 
     let base = run(1);
-    if !obs::enabled() {
-        assert_eq!(base, [None; 6]);
-        return;
-    }
     assert_eq!(base[0], Some((n / msbfs::LANES) as u64), "msbfs.runs");
     assert_eq!(base[5], Some((n / msbfs::LANES) as u64), "par.chunks");
     assert!(base[1].unwrap_or(0) > 0, "levels counted");
     for threads in [2usize, 4, 7] {
         assert_eq!(run(threads), base, "threads = {threads}");
     }
+}
+
+/// `msbfs.pull_expansions` is the number of vertices the bottom-up
+/// levels gather for. The value is pinned from the per-vertex count the
+/// kernel kept before it was folded into the pull loop.
+#[test]
+fn pull_expansions_are_pinned() {
+    let _g = lock();
+    let g = ring_with_chords(1000);
+    let sources: Vec<NodeId> = g.nodes().step_by(16).take(msbfs::LANES).collect();
+    obs::reset();
+    msbfs::with_msbfs(|arena| arena.run(FullView::new(&g), &sources, u32::MAX, |_| {}));
+    let snap = obs::snapshot();
+    assert_eq!(snap.counter("msbfs.pull_expansions"), Some(71878));
+    assert_eq!(snap.counter("msbfs.push_expansions"), Some(63));
+}
+
+/// `valleyfree.state_expansions` is the number of `(vertex, phase)`
+/// states whose out-edges `valley_free_reach` and `valley_free_path`
+/// walk. The value is pinned from the per-state count the view kept
+/// before it moved to one add per traversal; the workload covers
+/// unbounded, hop-bounded and broker-dominated reach, and paths that
+/// hit, start at their target, or find nothing.
+#[test]
+fn valley_free_state_expansions_are_pinned() {
+    let _g = lock();
+    let net = InternetConfig::scaled(Scale::Tiny).generate(7);
+    let pg = PolicyGraph::new(&net);
+    let n = net.graph().node_count();
+    let brokers = NodeSet::from_iter_with_capacity(n, net.graph().nodes().step_by(5));
+    let sources: Vec<NodeId> = net.graph().nodes().step_by(n / 12).collect();
+    obs::reset();
+    let mut found = 0;
+    let mut missed = 0;
+    for &src in &sources {
+        valley_free_reach(&pg, src, ReachOptions::default());
+        valley_free_reach(
+            &pg,
+            src,
+            ReachOptions {
+                max_hops: Some(2),
+                ..ReachOptions::default()
+            },
+        );
+        valley_free_reach(
+            &pg,
+            src,
+            ReachOptions {
+                brokers: Some(&brokers),
+                ..ReachOptions::default()
+            },
+        );
+        for &dst in &sources {
+            match valley_free_path(&pg, src, dst) {
+                Some(_) => found += 1,
+                None => missed += 1,
+            }
+        }
+    }
+    assert!(
+        found > sources.len() && missed > 0,
+        "{found} found, {missed} missed"
+    );
+    let snap = obs::snapshot();
+    assert_eq!(snap.counter("valleyfree.state_expansions"), Some(37683));
 }
 
 #[test]
@@ -171,23 +224,22 @@ fn snapshot_json_is_deterministic_and_wellformed() {
     let b = obs::snapshot();
     assert_eq!(a, b, "back-to-back snapshots of quiescent state agree");
     assert_eq!(a.to_json(), b.to_json());
-    if obs::enabled() {
-        // Merged-by-name output is name-sorted regardless of record order.
-        let names: Vec<&str> = a
-            .counters
-            .iter()
-            .map(|c| c.name.as_str())
-            .filter(|n| n.starts_with("obs_test.json"))
-            .collect();
-        assert_eq!(names, ["obs_test.json_a", "obs_test.json_b"]);
-        assert!(a.to_json().contains("\"obs_enabled\": true"));
-    } else {
-        assert!(a.to_json().contains("\"obs_enabled\": false"));
-    }
+    // Merged-by-name output is name-sorted regardless of record order.
+    let names: Vec<&str> = a
+        .counters
+        .iter()
+        .map(|c| c.name.as_str())
+        .filter(|n| n.starts_with("obs_test.json"))
+        .collect();
+    assert_eq!(names, ["obs_test.json_a", "obs_test.json_b"]);
     // The emitted JSON must parse with the workspace JSON reader.
     let parsed: serde_json::Value =
         serde_json::from_str(&a.to_json()).expect("snapshot JSON parses");
-    assert!(parsed["counters"].as_object().is_some() || a.counters.is_empty());
+    assert_eq!(parsed["counters"]["obs_test.json_a"].as_u64(), Some(1));
+    assert_eq!(
+        parsed["histograms"]["obs_test.json_h"]["count"].as_u64(),
+        Some(1)
+    );
 }
 
 #[test]
@@ -196,11 +248,6 @@ fn reset_zeroes_but_keeps_registration() {
     obs::reset();
     let () = netgraph::counter!("obs_test.reset_me", 41);
     obs::reset();
-    let snap = obs::snapshot();
-    if obs::enabled() {
-        // Still listed (the name survives), but back to zero.
-        assert_eq!(snap.counter("obs_test.reset_me"), Some(0));
-    } else {
-        assert_eq!(snap.counter("obs_test.reset_me"), None);
-    }
+    // Still listed (the name survives), but back to zero.
+    assert_eq!(obs::snapshot().counter("obs_test.reset_me"), Some(0));
 }

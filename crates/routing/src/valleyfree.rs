@@ -87,7 +87,9 @@ pub struct ReachOptions<'a> {
 /// the hop is B-dominated, when a broker filter is set).
 ///
 /// Walks start at `2·src` (the `Up` phase); one state transition is one
-/// hop, so the engine's depth bound is the hop budget.
+/// hop, so the engine's depth bound is the hop budget. [`valley_free_reach`]
+/// and [`valley_free_path`] add the states they expand to the
+/// `valleyfree.state_expansions` counter, once per walk.
 #[derive(Debug, Clone, Copy)]
 pub struct ValleyFreeView<'a> {
     pg: &'a PolicyGraph,
@@ -118,7 +120,6 @@ impl GraphView for ValleyFreeView<'_> {
     }
 
     fn for_each_neighbor(&self, s: NodeId, mut visit: impl FnMut(NodeId)) {
-        let () = netgraph::counter!("valleyfree.state_expansions");
         let u = ValleyFreeView::vertex_of(s);
         let phase = if s.0 % 2 == 1 { Phase::Down } else { Phase::Up };
         let u_is_broker = self.opts.brokers.is_none_or(|b| b.contains(u));
@@ -144,15 +145,16 @@ pub fn valley_free_reach(pg: &PolicyGraph, src: NodeId, opts: ReachOptions<'_>) 
     let n = pg.node_count();
     let mut reached = NodeSet::new(n);
     let view = ValleyFreeView::new(pg, opts);
+    let max_hops = opts.max_hops.unwrap_or(u32::MAX);
     with_arena(|arena| {
-        arena.run_bounded(
-            view,
-            ValleyFreeView::start_state(src),
-            opts.max_hops.unwrap_or(u32::MAX),
-        );
+        arena.run_bounded(view, ValleyFreeView::start_state(src), max_hops);
+        // The engine expands every visited state short of the hop budget.
+        let mut expanded = 0u64;
         for &s in arena.visit_order() {
             reached.insert(ValleyFreeView::vertex_of(s));
+            expanded += u64::from(arena.distance(s).is_some_and(|d| d < max_hops));
         }
+        let () = netgraph::counter!("valleyfree.state_expansions", expanded);
     });
     reached
 }
@@ -166,8 +168,16 @@ pub fn valley_free_path(pg: &PolicyGraph, src: NodeId, dst: NodeId) -> Option<Ve
     let states = with_arena(|arena| {
         let hit = arena.run_to_target(view, ValleyFreeView::start_state(src), |s| {
             ValleyFreeView::vertex_of(s) == dst
-        })?;
-        arena.path_to(hit)
+        });
+        // The engine expands states in visit order, up to and including
+        // the one whose edge discovered the hit (all of them on a miss).
+        let order = arena.visit_order();
+        let expanded = match hit.and_then(|h| arena.parent(h)) {
+            Some(p) => order.iter().position(|&s| s == p).map_or(0, |i| i + 1),
+            None => order.len(),
+        };
+        let () = netgraph::counter!("valleyfree.state_expansions", expanded as u64);
+        arena.path_to(hit?)
     })?;
     let path: Vec<NodeId> = states
         .iter()

@@ -40,15 +40,18 @@ mod tests {
     #[test]
     fn snapshot_roundtrip() {
         let net = InternetConfig::scaled(Scale::Tiny).generate(5);
-        let dir = std::env::temp_dir().join("topology-snapshot-test");
+        let dir = std::env::temp_dir().join(format!(
+            "topology-snapshot-roundtrip-{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tiny.json");
         save_snapshot(&net, &path).unwrap();
         let back = load_snapshot(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(net.graph(), back.graph());
         assert_eq!(net.relationships(), back.relationships());
         assert_eq!(net.kinds(), back.kinds());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Brace-aware item tree over the token stream.
 //!
 //! Walks the [`crate::lexer`] output once and recovers the shape the
-//! rules need: which lines sit inside `#[cfg(test)]` / `#[cfg(feature =
-//! "obs")]` regions (scanner-compatible semantics: the attribute line
-//! through the matching close brace, inclusive), every `fn` with its
+//! rules need: which lines sit inside `#[cfg(test)]` regions
+//! (scanner-compatible semantics: the attribute line through the
+//! matching close brace, inclusive), every `fn` with its
 //! body token span, every `struct`/`enum` declaration with visibility
 //! and lifetime-parameter flags, and every `impl` block with its trait
 //! and self-type names. Still not a parser — no expressions, no
@@ -67,8 +67,6 @@ pub struct ScopeItem {
 pub struct ItemTree {
     /// Per-line (0-based index, 1-based line): inside `#[cfg(test)]`.
     pub in_cfg_test: Vec<bool>,
-    /// Per-line: inside `#[cfg(feature = "obs")]`.
-    pub in_cfg_obs: Vec<bool>,
     /// Every `fn`, flat, in source order.
     pub fns: Vec<FnItem>,
     /// Every `struct`/`enum` declaration.
@@ -85,14 +83,6 @@ impl ItemTree {
     /// Whether 1-based `line` is inside a `#[cfg(test)]` region.
     pub fn line_in_test(&self, line: u32) -> bool {
         self.in_cfg_test
-            .get(line as usize - 1)
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// Whether 1-based `line` is inside a `#[cfg(feature = "obs")]` region.
-    pub fn line_in_obs(&self, line: u32) -> bool {
-        self.in_cfg_obs
             .get(line as usize - 1)
             .copied()
             .unwrap_or(false)
@@ -119,7 +109,6 @@ pub fn build(file: &LexedFile) -> ItemTree {
     let n_lines = file.lines.len();
     let mut tree = ItemTree {
         in_cfg_test: vec![false; n_lines],
-        in_cfg_obs: vec![false; n_lines],
         close_of: vec![None; toks.len()],
         ..ItemTree::default()
     };
@@ -143,13 +132,12 @@ pub fn build(file: &LexedFile) -> ItemTree {
         }
     }
 
-    // cfg(test) / cfg(feature = "obs") regions. Scanner-compatible: the
+    // cfg(test) regions. Scanner-compatible: the
     // attribute arms a pending flag; the next `{` (whatever item it
     // belongs to) opens the region, which spans the attribute line
     // through the line of the matching close brace. If no `{` follows,
     // the region runs to end of file.
     let mut pending_test: Option<u32> = None;
-    let mut pending_obs: Option<u32> = None;
     let mut i = 0;
     while i < toks.len() {
         let t = &toks[i];
@@ -170,34 +158,21 @@ pub fn build(file: &LexedFile) -> ItemTree {
                             pending_test = Some(t.line);
                         }
                     }
-                    if attr_is_cfg_obs(body) {
-                        if inner {
-                            tree.in_cfg_obs.iter_mut().for_each(|b| *b = true);
-                        } else {
-                            pending_obs = Some(t.line);
-                        }
-                    }
                     i = close + 1;
                     continue;
                 }
             }
         }
-        if t.is_punct("{") && (pending_test.is_some() || pending_obs.is_some()) {
-            let end_line = tree.close_of[i].map_or(u32::MAX, |c| toks[c].line);
+        if t.is_punct("{") {
             if let Some(from) = pending_test.take() {
+                let end_line = tree.close_of[i].map_or(u32::MAX, |c| toks[c].line);
                 mark(&mut tree.in_cfg_test, from, end_line);
-            }
-            if let Some(from) = pending_obs.take() {
-                mark(&mut tree.in_cfg_obs, from, end_line);
             }
         }
         i += 1;
     }
     if let Some(from) = pending_test {
         mark(&mut tree.in_cfg_test, from, u32::MAX);
-    }
-    if let Some(from) = pending_obs {
-        mark(&mut tree.in_cfg_obs, from, u32::MAX);
     }
 
     // Items.
@@ -265,17 +240,6 @@ fn attr_is_cfg_test(body: &[Tok]) -> bool {
         && body[0].is_ident("cfg")
         && body[1].is_punct("(")
         && body.iter().any(|t| t.is_ident("test"))
-        && !body.iter().any(|t| t.is_ident("not"))
-}
-
-fn attr_is_cfg_obs(body: &[Tok]) -> bool {
-    body.len() >= 4
-        && body[0].is_ident("cfg")
-        && body[1].is_punct("(")
-        && body.iter().any(|t| t.is_ident("feature"))
-        && body
-            .iter()
-            .any(|t| t.kind == TokKind::Str && t.text == "obs")
         && !body.iter().any(|t| t.is_ident("not"))
 }
 
@@ -457,27 +421,6 @@ fn more_lib() {}
                 i + 1
             );
         }
-    }
-
-    #[test]
-    fn cfg_obs_region_tracked() {
-        let src = "\
-pub fn plain() {}
-#[cfg(feature = \"obs\")]
-pub fn gated() {
-    body();
-}
-pub fn after() {}
-";
-        let tree = tree_of(src);
-        assert!(!tree.line_in_obs(1));
-        assert!(tree.line_in_obs(2));
-        assert!(tree.line_in_obs(4));
-        assert!(tree.line_in_obs(5));
-        assert!(!tree.line_in_obs(6));
-        // `not(feature = "obs")` is the *else* branch, not an obs region.
-        let tree = tree_of("#[cfg(not(feature = \"obs\"))]\npub fn stub() {}\n");
-        assert!(!tree.line_in_obs(1));
     }
 
     #[test]

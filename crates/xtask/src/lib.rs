@@ -27,8 +27,8 @@
 //! and the test suite asserts the entry count never grows.
 //!
 //! The pipeline is a token lexer ([`lexer`]) feeding a brace-aware item
-//! tree ([`itemtree`]: `#[cfg(test)]`/`#[cfg(feature = "obs")]` regions,
-//! fn bodies, type declarations, impl blocks) and a cross-file symbol
+//! tree ([`itemtree`]: `#[cfg(test)]` regions, fn bodies, type
+//! declarations, impl blocks) and a cross-file symbol
 //! table ([`symbols`]). It is still not rustc: no macro expansion, no
 //! type inference — rules are written so the approximations over-report
 //! on patterns we ban anyway rather than under-report on ones we allow.

@@ -53,8 +53,7 @@ pub enum Rule {
     NoAdhocWordOps,
     /// No `std::time::Instant` in product library code outside
     /// `netgraph/src/obs.rs`: ad-hoc timing belongs to the observability
-    /// layer (`span!` records into the global registry, and compiles out
-    /// when the `obs` feature is off).
+    /// layer (`span!` records into the global registry).
     NoRawInstant,
     /// No iteration over `HashMap`/`HashSet` in product library code:
     /// hash iteration order is nondeterministic and must never reach a
@@ -222,7 +221,7 @@ impl Rule {
                  println!/print!/dbg! in library code interleaves with real\n\
                  output nondeterministically under threads and poisons golden\n\
                  files. Output belongs to the bin/bench layer; diagnostics go\n\
-                 through the obs feature's counters and spans.\n\
+                 through the obs layer's counters and spans.\n\
                  Fix: delete the print, or return the value so the caller can\n\
                  report it."
             }
@@ -253,11 +252,9 @@ impl Rule {
             }
             Rule::NoRawInstant => {
                 "R8 NoRawInstant\n\
-                 std::time::Instant in product code either leaks timing\n\
-                 overhead into non-instrumented builds or invents a second\n\
-                 metrics channel beside the obs layer. netgraph/src/obs.rs\n\
-                 owns the clock; span! compiles out when the obs feature is\n\
-                 off.\n\
+                 std::time::Instant in product code invents a second metrics\n\
+                 channel beside the obs layer. netgraph/src/obs.rs owns the\n\
+                 clock, and span! records into its registry.\n\
                  Fix: wrap the region in span!(\"name\") instead."
             }
             Rule::NoHashIteration => {

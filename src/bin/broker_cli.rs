@@ -18,8 +18,7 @@
 //!
 //! A global `--obs PATH` (any position) dumps a `netgraph::obs` metrics
 //! snapshot after a successful command and prints a one-line engine
-//! digest to stderr. Meaningful in `--features obs` builds; otherwise
-//! the snapshot is empty and the digest says so.
+//! digest to stderr.
 //!
 //! `evolve` additionally honors a global `--record PATH`: the growth
 //! delta stream plus the per-epoch maintenance ledger are written as
@@ -80,28 +79,14 @@ fn extract_path_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(path)
 }
 
-/// Write the metrics snapshot and print the run summary to stderr.
+/// Write the metrics snapshot and print its one-line digest to stderr.
 fn dump_obs(path: &str) {
     let snap = netgraph::obs::snapshot();
     if let Err(e) = std::fs::write(path, snap.to_json()) {
         eprintln!("error: writing obs snapshot to {path}: {e}");
         std::process::exit(2);
     }
-    if netgraph::obs::enabled() {
-        let c = |name: &str| snap.counter(name).unwrap_or(0);
-        eprintln!(
-            "[obs] arena runs {} (pool {}/{} acquire/fresh) | msbfs runs {} levels {} | \
-             valley-free expansions {} | snapshot -> {path}",
-            c("arena.runs"),
-            c("arena.pool.acquire"),
-            c("arena.pool.fresh"),
-            c("msbfs.runs"),
-            c("msbfs.levels"),
-            c("valleyfree.state_expansions"),
-        );
-    } else {
-        eprintln!("[obs] instrumentation off (rebuild with --features obs) | snapshot -> {path}");
-    }
+    eprintln!("[obs] {} | snapshot -> {path}", snap.digest());
 }
 
 const USAGE: &str = "\

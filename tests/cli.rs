@@ -8,15 +8,17 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_broker_cli"))
 }
 
-fn tmpdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("broker-cli-test-{}", std::process::id()));
+/// A fresh directory for one test, keyed on the pid plus the test name:
+/// tests run in parallel and each deletes its directory when it finishes.
+fn tmpdir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("broker-cli-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
 #[test]
 fn full_cli_workflow() {
-    let dir = tmpdir();
+    let dir = tmpdir("full_cli_workflow");
     let snap = dir.join("net.json");
     let dot = dir.join("net.dot");
 
@@ -94,7 +96,7 @@ fn full_cli_workflow() {
 
 #[test]
 fn evolve_reports_swaps_and_records_stream() {
-    let dir = tmpdir();
+    let dir = tmpdir("evolve_reports_swaps_and_records_stream");
     let snap = dir.join("evolving.json");
     let rec = dir.join("evolve-record.json");
     assert!(cli()
@@ -140,7 +142,7 @@ fn evolve_reports_swaps_and_records_stream() {
 
 #[test]
 fn index_build_and_query_roundtrip() {
-    let dir = tmpdir();
+    let dir = tmpdir("index_build_and_query_roundtrip");
     let snap = dir.join("idx-net.json");
     let idx = dir.join("net.bri");
     assert!(cli()
@@ -206,7 +208,7 @@ fn index_build_and_query_roundtrip() {
 
 #[test]
 fn plan_round_trips_with_certificate_and_rejects_malformed_args() {
-    let dir = tmpdir();
+    let dir = tmpdir("plan_round_trips_with_certificate_and_rejects_malformed_args");
     let snap = dir.join("plan-net.json");
     assert!(cli()
         .args(["generate", "tiny", "7", snap.to_str().unwrap()])
@@ -280,7 +282,7 @@ fn cli_rejects_bad_input() {
     assert!(err.contains("unknown command"), "{err}");
 
     // Unknown algorithm on a real snapshot.
-    let dir = tmpdir();
+    let dir = tmpdir("cli_rejects_bad_input");
     let snap = dir.join("n.json");
     assert!(cli()
         .args(["generate", "tiny", "1", snap.to_str().unwrap()])

@@ -124,12 +124,15 @@ fn composition_spans_kinds_and_includes_ixps() {
 #[test]
 fn snapshot_roundtrip_preserves_selection_results() {
     let net = tiny_net();
-    let dir = std::env::temp_dir().join("broker-net-integration");
+    let dir = std::env::temp_dir().join(format!(
+        "broker-net-snapshot-roundtrip-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("net.json");
     topology::save_snapshot(&net, &path).unwrap();
     let back = topology::load_snapshot(&path).unwrap();
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 
     let a = max_subgraph_greedy(net.graph(), 25);
     let b = max_subgraph_greedy(back.graph(), 25);
