@@ -59,6 +59,12 @@ rm -f "$build_log"
 run cargo test --offline -q -p netgraph --test determinism
 run cargo test --offline -q -p brokerset --test determinism
 
+# MaxSG oracle gate: the incremental MaxSubGraph-Greedy must pick in the
+# same order as the paper's rescan-every-candidate loop on random ER,
+# BA and two-disjoint-copy graphs (property-tested), live against the
+# rescan at tiny and quarter scale, and by pinned checksum at full scale.
+run cargo test --offline -q -p brokerset --test maxsg_oracle
+
 # msbfs equivalence gate: every lane of the 64-source kernel must match
 # the per-source engine on all four view types (property-tested), and on
 # the directed valley-free state graph where pull is forbidden.
@@ -107,11 +113,11 @@ run cargo test --offline -q -p bench --test bins golden
 run cargo test --offline -q --workspace
 
 # Perf smoke gate: the quarter-scale (13k-node) engine bench.
-# engine_bench hard-asserts its own acceptance floors (threaded exact
-# l-hop speedup when the host has the cores for it) and thread-count /
-# permuted-layout bit-identity; here we additionally pin its exact-curve
-# checksum to the committed BENCH_engine.json quarter entry. It runs in
-# a scratch directory so the tracked BENCH_engine.json is not rewritten.
+# engine_bench hard-asserts thread-count / permuted-layout bit-identity
+# (and, at full scale, its selection floor); here we additionally pin
+# its exact-curve checksum to the committed BENCH_engine.json quarter
+# entry. It runs in a scratch directory so the tracked BENCH_engine.json
+# is not rewritten.
 cargo build --offline --release -q -p bench --bins
 expected=$(sed -n '/^      "scale": "quarter"/,/^      "scale": /s/^      "curve_checksum": "\([0-9a-f]\{16\}\)".*/\1/p' BENCH_engine.json)
 smoke_dir="$(mktemp -d)"

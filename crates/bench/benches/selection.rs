@@ -1,7 +1,8 @@
 //! Selection-algorithm benchmarks: the paper's complexity claims.
 //!
-//! Algorithm 1 (lazy greedy) and Algorithm 3 (MaxSG) are both effectively
-//! `O(k(|V| + |E|))`; Algorithm 2 adds per-root BFS trees. Baselines for
+//! Algorithm 1 (lazy greedy) is effectively `O(k(|V| + |E|))`; Algorithm 3
+//! (MaxSG) keeps its scores across picks, `O((|V| + |E|) log |V|)` on a
+//! connected input; Algorithm 2 adds per-root BFS trees. Baselines for
 //! reference.
 
 use brokerset::{

@@ -38,18 +38,15 @@
 //! one JSON row per count with the **resolved** worker count
 //! (`threads_resolved`), and `lhop_parallel_speedup` is reported against
 //! that resolved count — a 1.0x on a 1-core runner is the hardware's
-//! fault, not a regression, which is why the acceptance floors below are
-//! enforced only when the hardware can express them.
+//! fault, not a regression. The threaded rows (`lhop_speedup_at_7`,
+//! `lhop_exact_allcores_s`, `hardware_threads`) are recorded, never
+//! asserted.
 //!
-//! ## Acceptance floors
+//! ## Acceptance floor
 //!
-//! - quarter: >= 4x threaded exact l-hop speedup at 7 threads, enforced
-//!   (hard assert) when the host resolves >= 7 hardware threads;
-//! - full: exact shipping curve in single-digit seconds at `--threads
-//!   0`, enforced when the host resolves >= 4 hardware threads.
-//!
-//! Unenforced floors still record their measured value under
-//! `speedup_floor` so a capable machine can audit any run.
+//! - full: MaxSG selection (`select_s`, single-threaded) under
+//!   [`FULL_SELECT_FLOOR_S`], enforced (hard assert) on every host and
+//!   recorded under `floors`.
 //!
 //! ## Identity witness
 //!
@@ -71,6 +68,9 @@ use netgraph::{par, with_arena, DominatedView, FullView, Graph, NodeId, NodeSet,
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::time::Instant;
+
+/// Full-scale MaxSG selection must finish in under this many seconds.
+const FULL_SELECT_FLOOR_S: f64 = 1.0;
 
 /// FNV-1a over a stream of u64 values (fed little-endian byte-wise):
 /// the deterministic fingerprint of a curve's exact bit patterns.
@@ -347,35 +347,23 @@ fn main() {
         .map(|r| r["msbfs_speedup"].as_f64().unwrap_or(0.0))
         .unwrap_or(0.0);
 
-    // Acceptance floors, enforced only where the hardware can express
-    // them (a 1-core runner cannot show a 4x threaded speedup; its
-    // honest numbers are still recorded).
-    let quarter_floor_enforced = matches!(rc.scale, topology::Scale::Quarter) && hw >= 7;
-    if quarter_floor_enforced {
-        assert!(
-            speedup_at_7 >= 4.0,
-            "quarter-scale exact l-hop speedup at 7 threads is {speedup_at_7:.2}x, floor is 4x"
-        );
-    }
-    let full_floor_enforced = matches!(rc.scale, topology::Scale::Full) && hw >= 4;
-    let full_exact_s = median_secs(reps, || {
+    let allcores_s = median_secs(reps, || {
         brokerset::lhop_curve_parallel(g, sel.brokers(), MAX_L, SourceMode::Exact, 0)
     });
-    if full_floor_enforced {
+
+    // The single-thread acceptance floor, enforced on every host.
+    let mut floors = Vec::new();
+    if matches!(rc.scale, topology::Scale::Full) {
         assert!(
-            full_exact_s < 10.0,
-            "full-scale exact l-hop curve took {full_exact_s:.2}s, floor is single-digit seconds"
+            select_s < FULL_SELECT_FLOOR_S,
+            "full-scale MaxSG selection took {select_s:.3}s, floor is {FULL_SELECT_FLOOR_S}s"
         );
+        floors.push(serde_json::json!({
+            "metric": "select_s",
+            "below": FULL_SELECT_FLOOR_S,
+            "measured": select_s,
+        }));
     }
-    let speedup_floor = serde_json::json!({
-        "quarter_speedup_at_7_required": 4.0,
-        "quarter_speedup_at_7_measured": speedup_at_7,
-        "quarter_floor_enforced": quarter_floor_enforced,
-        "full_exact_seconds_required": 10.0,
-        "full_exact_seconds_measured": full_exact_s,
-        "full_floor_enforced": full_floor_enforced,
-        "hardware_threads": hw,
-    });
 
     let bfs_speedup = fresh / pooled;
     println!("  bfs {sweep}-source sweep   pooled {pooled:.4}s  fresh {fresh:.4}s  speedup {bfs_speedup:.2}x");
@@ -399,10 +387,11 @@ fn main() {
         "lhop_exact_seq_s": seq,
         "lhop_exact_par_s": par_s,
         "lhop_exact_par7_s": par7_s,
-        "lhop_exact_allcores_s": full_exact_s,
+        "lhop_exact_allcores_s": allcores_s,
         "lhop_parallel_speedup": lhop_speedup,
         "lhop_speedup_at_7": speedup_at_7,
-        "speedup_floor": speedup_floor,
+        "hardware_threads": hw,
+        "floors": floors,
         "compare_sources": cmp_sources.len(),
         "lhop_rows": rows,
         "layout_rows": layout_rows,

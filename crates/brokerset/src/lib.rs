@@ -22,8 +22,10 @@
 //! - [`approx::approx_mcbg`] — Algorithm 2, the approximation for MCBG on
 //!   an (α, β)-graph: `x*` pre-selected brokers plus shortest-path
 //!   stitching brokers `B^r` chosen from the best root.
-//! - [`maxsg::max_subgraph_greedy`] — Algorithm 3, the `O(k(|V| + |E|))`
-//!   MaxSubGraph-Greedy heuristic.
+//! - [`maxsg::max_subgraph_greedy`] — Algorithm 3, the MaxSubGraph-Greedy
+//!   heuristic. The paper bounds it at `O(k(|V| + |E|))`; keeping the
+//!   candidate scores across picks brings it to `O((|V| + |E|) log |V|)`
+//!   on connected inputs, with the same selection order.
 //! - [`baseline`] — SC, Degree-Based, PageRank-Based, IXP-Based and
 //!   Tier-1-Only baselines from Section 5.1/6.1.
 //!

@@ -404,12 +404,15 @@ impl<'a, R: Rng> Generator<'a, R> {
         provider_weights.extend(std::iter::repeat_n(cfg.tier1_weight, cfg.n_tier1));
         provider_weights
             .extend((0..cfg.n_transit).map(|i| ((i + 1) as f64).powf(-cfg.zipf_exponent)));
+        // Sized for the edge budget up front: the doubling growth of both
+        // containers would leave its garbage behind on every generation.
+        let edge_budget = cfg.target_as_edges + cfg.target_memberships;
         Generator {
             cfg,
             rng,
             provider_weights,
-            edges: HashSet::new(),
-            rels: Vec::new(),
+            edges: HashSet::with_capacity(edge_budget),
+            rels: Vec::with_capacity(edge_budget),
         }
     }
 
