@@ -132,6 +132,15 @@ if [ -z "$expected" ] || [ "$checksum" != "$expected" ]; then
 fi
 echo "==> quarter-scale perf smoke passed (checksum $checksum)"
 
+# Benchmark gate: the reference benchmark's own tests (perfbench/, its
+# own cargo package). brokerd is built into the same target directory,
+# where the tests look for it. They rebuild the pinned seed-2014
+# quarter query-stream checksum from a 247-broker index, fail on one
+# mutated answer, and drive all four workloads at tiny size.
+run env CARGO_TARGET_DIR=.bench_build cargo build --offline --release -q -p bench --bin brokerd
+run env CARGO_TARGET_DIR=.bench_build cargo test --offline --release -q \
+    --manifest-path perfbench/Cargo.toml
+
 # Serve smoke gate: a real brokerd on an ephemeral port, driven by the
 # serve_bench client in attach mode — 10k queries over TCP whose answer
 # checksum must equal the client's own exact (BFS-oracle) evaluation.

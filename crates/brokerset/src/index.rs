@@ -5,7 +5,8 @@
 //! instead answers point queries: *can `(s, t)` be stitched through the
 //! broker set within `l` hops, and via which broker?* [`ReachIndex`]
 //! precomputes per-broker hop-distance shards so that question costs a
-//! single `O(k)` row scan (`k` = broker count) instead of a BFS.
+//! single `O(k)` scan over two table rows (`k` = broker count) instead of
+//! a BFS.
 //!
 //! ## Why broker-hub labeling is exact
 //!
@@ -26,6 +27,22 @@
 //! the cap. Queries with `l > max_l` are clamped to `max_l` — the index
 //! is *hop-bounded* by construction.
 //!
+//! ## The scan
+//!
+//! The table is vertex-major (`dist[v·k + j]`), so a query reads two
+//! contiguous `k`-byte rows. [`ReachIndex::query`] takes the minimum over
+//! `j` of the saturating `u8` sum `rs[j] + rt[j]` — a branch-free loop
+//! the compiler turns into SSE2 `paddusb` + `pminub` on the default
+//! x86-64 target — then returns the first `j` whose sum equals it.
+//!
+//! - *Saturation is exact.* [`UNREACH`] is 255 and every cap is at most
+//!   [`MAX_HOP_CAP`] = 254, so a saturated sum — an unreachable entry, a
+//!   dead (all-`UNREACH`) column or a finite total ≥ 255 — is never
+//!   within the cap, and any sum within the cap is the true total.
+//! - *The tie-break is kept.* The first minimal position is the smallest
+//!   roster position, and the roster is ascending, so it is the smallest
+//!   broker id among the cheapest.
+//!
 //! ## Shards, faults and invalidation
 //!
 //! The index keys one distance column ("shard") per roster broker,
@@ -33,8 +50,11 @@
 //! [`netgraph::msbfs`] batches over the masked dominated view (failed
 //! vertices and cut edges vanish; defected brokers stop dominating but
 //! keep their column, blanked, so the layout never changes), fanned out
-//! on [`netgraph::par`] with batch-order merge — bit-identical at every
-//! thread count.
+//! on [`netgraph::par`] in waves of 64 × workers columns. Each batch
+//! fills a vertex-major block, and each wave merges into the table in
+//! one row-order pass that overwrites every rebuilt column, so writes
+//! follow the table's layout and at most one wave of blocks is alive.
+//! Blocks merge in batch order — bit-identical at every thread count.
 //!
 //! On an epoch flip ([`ReachIndex::apply_state`]) or topology delta
 //! ([`ReachIndex::apply_delta`]) only the *affected* shards rebuild.
@@ -49,6 +69,7 @@
 //! Either way the shard is flagged. The counter
 //! `index.shards_invalidated` tracks churn.
 
+use netgraph::msbfs::LANES;
 use netgraph::{
     with_msbfs, AuditReport, DominatedView, FaultState, FaultView, Graph, GraphDelta, GraphView,
     NodeId, NodeSet, Permuted, Validate,
@@ -287,33 +308,19 @@ impl ReachIndex {
         let n = g.node_count();
         let roster_ids: Vec<NodeId> = brokers.iter().collect();
         let k = roster_ids.len();
-        let alive_new = perm.map_set(brokers);
-        let sources_new: Vec<NodeId> = roster_ids.iter().map(|&b| perm.to_new(b)).collect();
-
-        let batches: Vec<Vec<NodeId>> = sources_new.chunks(64).map(<[NodeId]>::to_vec).collect();
-        let blocks = run_batches(
-            g.clone(),
-            alive_new,
-            NodeSet::new(n),
-            BTreeSet::new(),
-            batches,
-            max_l as u8,
-            threads,
-        );
+        let inputs = ShardInputs {
+            g: g.clone(),
+            alive: perm.map_set(brokers),
+            down: NodeSet::new(n),
+            cut: BTreeSet::new(),
+            max_l: max_l as u8,
+        };
+        let sources: Vec<NodeId> = roster_ids.iter().map(|&b| perm.to_new(b)).collect();
+        let cols: Vec<usize> = (0..k).collect();
         let mut dist = vec![UNREACH; n * k];
-        let mut j = 0usize;
-        for block in &blocks {
-            let lanes = block.len() / n;
-            for lane in 0..lanes {
-                let col = &block[lane * n..(lane + 1) * n];
-                for (v_new, &d) in col.iter().enumerate() {
-                    if d != UNREACH {
-                        dist[perm.to_old(NodeId(v_new as u32)).index() * k + j] = d;
-                    }
-                }
-                j += 1;
-            }
-        }
+        write_shards(&mut dist, k, inputs, &sources, &cols, threads, |v| {
+            perm.to_old(NodeId(v as u32)).index()
+        });
         let () = netgraph::counter!("index.builds");
         ReachIndex {
             n,
@@ -371,6 +378,11 @@ impl ReachIndex {
     /// smallest broker id. `None` when no such broker exists or an
     /// endpoint is failed; `s == t` answers the zero-hop self path
     /// (matching `stitch_path`'s `[s]`).
+    ///
+    /// Two passes over the rows of `s` and `t`: the minimum saturating
+    /// `u8` sum, then its first position. Sums that saturate at
+    /// [`UNREACH`] never fit a cap of at most [`MAX_HOP_CAP`], and the
+    /// first position is the smallest broker id (see the module docs).
     pub fn query(&self, s: NodeId, t: NodeId, l: usize) -> Option<StitchAnswer> {
         if s.index() >= self.n || t.index() >= self.n {
             return None;
@@ -385,22 +397,23 @@ impl ReachIndex {
                 hops_t: 0,
             });
         }
-        let cap = u32::from(self.max_l).min(l as u32);
+        // Clamp in usize, then narrow: the result is at most max_l ≤ 254.
+        let cap = usize::from(self.max_l).min(l) as u8;
         let k = self.brokers.len();
-        let rs = &self.dist[s.index() * k..s.index() * k + k];
-        let rt = &self.dist[t.index() * k..t.index() * k + k];
-        let mut best: Option<(u32, usize)> = None;
-        for j in 0..k {
-            let (ds, dt) = (rs[j], rt[j]);
-            if ds == UNREACH || dt == UNREACH {
-                continue; // dead columns are all-UNREACH, so this also skips them
-            }
-            let total = u32::from(ds) + u32::from(dt);
-            if total <= cap && best.is_none_or(|(b, _)| total < b) {
-                best = Some((total, j));
-            }
+        let rs = &self.dist[s.index() * k..][..k];
+        let rt = &self.dist[t.index() * k..][..k];
+        let best = rs
+            .iter()
+            .zip(rt)
+            .fold(UNREACH, |m, (&ds, &dt)| m.min(ds.saturating_add(dt)));
+        if best > cap {
+            return None;
         }
-        best.map(|(_, j)| StitchAnswer {
+        let j = rs
+            .iter()
+            .zip(rt)
+            .position(|(&ds, &dt)| ds.saturating_add(dt) == best)?;
+        Some(StitchAnswer {
             broker: self.brokers[j],
             hops_s: u32::from(rs[j]),
             hops_t: u32::from(rt[j]),
@@ -600,41 +613,19 @@ impl ReachIndex {
         if js.is_empty() {
             return;
         }
-        let k = self.brokers.len();
-        let n = self.n;
         let mut alive = self.roster.clone();
         alive.difference_with(&self.defected);
         alive.difference_with(&self.down);
-        let batches: Vec<Vec<NodeId>> = js
-            .chunks(64)
-            .map(|chunk| chunk.iter().map(|&j| self.brokers[j]).collect())
-            .collect();
-        let blocks = run_batches(
-            g.clone(),
+        let inputs = ShardInputs {
+            g: g.clone(),
             alive,
-            self.down.clone(),
-            self.cut.clone(),
-            batches,
-            self.max_l,
-            threads,
-        );
-        for j in js {
-            self.blank_column(*j);
-        }
-        let mut pos = 0usize;
-        for block in &blocks {
-            let lanes = block.len() / n;
-            for lane in 0..lanes {
-                let j = js[pos];
-                pos += 1;
-                let col = &block[lane * n..(lane + 1) * n];
-                for (v, &d) in col.iter().enumerate() {
-                    if d != UNREACH {
-                        self.dist[v * k + j] = d;
-                    }
-                }
-            }
-        }
+            down: self.down.clone(),
+            cut: self.cut.clone(),
+            max_l: self.max_l,
+        };
+        let sources: Vec<NodeId> = js.iter().map(|&j| self.brokers[j]).collect();
+        let k = self.brokers.len();
+        write_shards(&mut self.dist, k, inputs, &sources, js, threads, |v| v);
     }
 
     /// Serialize into the `BRI1` binary format (little-endian, FNV-1a
@@ -1104,40 +1095,81 @@ impl<'a> Cur<'a> {
     }
 }
 
-/// Fan the 64-lane shard batches out on the persistent worker pool.
-/// Results merge in batch order, so the shard bytes are bit-identical
-/// at every thread count.
-fn run_batches(
+/// What every shard batch reads: the graph and the masks of the
+/// dominated view the shards are computed over.
+struct ShardInputs {
     g: Graph,
     alive: NodeSet,
     down: NodeSet,
     cut: BTreeSet<(u32, u32)>,
-    batches: Vec<Vec<NodeId>>,
     max_l: u8,
+}
+
+/// Compute the shard of each of `sources` and write source `i`'s
+/// distances over column `cols[i]` of the vertex-major table `dist` (row
+/// width `k`), view vertex `v` landing in row `row_of(v)`. Every entry of
+/// a written column is overwritten, [`UNREACH`] included.
+///
+/// Batches of 64 sources run as msbfs on the worker pool in waves of
+/// 64 × workers columns. Each batch fills a vertex-major block
+/// `block[v·w + lane]`, and a wave's blocks merge into `dist` in one
+/// row-order pass before the next wave starts, so at most one wave of
+/// blocks is alive. Blocks merge in batch order: the bytes are identical
+/// at every thread count.
+fn write_shards(
+    dist: &mut [u8],
+    k: usize,
+    inputs: ShardInputs,
+    sources: &[NodeId],
+    cols: &[usize],
     threads: usize,
-) -> Vec<Vec<u8>> {
-    let n = g.node_count();
-    let idxs: Vec<u32> = (0..batches.len() as u32).collect();
-    let batches = Arc::new(batches);
-    netgraph::par::map_auto(&idxs, threads, move |&bi| {
-        let sources = &batches[bi as usize];
-        let mut local = vec![UNREACH; n * sources.len()];
-        let view = MaskView {
-            g: &g,
-            alive: &alive,
-            down: &down,
-            cut: &cut,
-        };
-        with_msbfs(|arena| {
-            arena.run(view, sources, u32::from(max_l), |wf| {
-                let level = wf.level() as u8;
-                wf.for_each_new(|v, lanes| {
-                    lanes.for_each_lane(|lane| local[lane * n + v.index()] = level);
-                });
+    row_of: impl Fn(usize) -> usize,
+) {
+    debug_assert_eq!(sources.len(), cols.len(), "one column per source");
+    let n = inputs.g.node_count();
+    let inputs = Arc::new(inputs);
+    let wave = LANES * netgraph::par::resolve_threads(threads);
+    for (wave_sources, wave_cols) in sources.chunks(wave).zip(cols.chunks(wave)) {
+        let batches: Vec<Vec<NodeId>> =
+            wave_sources.chunks(LANES).map(<[NodeId]>::to_vec).collect();
+        let shared = Arc::clone(&inputs);
+        let blocks =
+            netgraph::par::map_auto(&batches, threads, move |batch| shard_block(&shared, batch));
+        for v in 0..n {
+            let row = &mut dist[row_of(v) * k..][..k];
+            for (block, block_cols) in blocks.iter().zip(wave_cols.chunks(LANES)) {
+                let w = block_cols.len();
+                for (&j, &d) in block_cols.iter().zip(&block[v * w..][..w]) {
+                    row[j] = d;
+                }
+            }
+        }
+    }
+}
+
+/// One msbfs batch as a vertex-major block: `block[v·w + lane]` is the
+/// hop count from `sources[lane]` to `v` (`w` = batch width), or
+/// [`UNREACH`] beyond the cap.
+fn shard_block(inputs: &ShardInputs, sources: &[NodeId]) -> Vec<u8> {
+    let n = inputs.g.node_count();
+    let w = sources.len();
+    let mut block = vec![UNREACH; n * w];
+    let view = MaskView {
+        g: &inputs.g,
+        alive: &inputs.alive,
+        down: &inputs.down,
+        cut: &inputs.cut,
+    };
+    with_msbfs(|arena| {
+        arena.run(view, sources, u32::from(inputs.max_l), |wf| {
+            let level = wf.level() as u8;
+            wf.for_each_new(|v, lanes| {
+                let row = &mut block[v.index() * w..][..w];
+                lanes.for_each_lane(|lane| row[lane] = level);
             });
         });
-        local
-    })
+    });
+    block
 }
 
 #[cfg(test)]
@@ -1145,6 +1177,7 @@ mod tests {
     use super::*;
     use netgraph::graph::from_edges;
     use netgraph::FaultSchedule;
+    use rand::Rng;
 
     fn set(capacity: usize, ids: &[u32]) -> NodeSet {
         NodeSet::from_iter_with_capacity(capacity, ids.iter().map(|&i| NodeId(i)))
@@ -1184,6 +1217,33 @@ mod tests {
         // the caller asks for more.
         assert!(idx.query(NodeId(0), NodeId(4), 100).is_none());
         assert_eq!(idx.query(NodeId(0), NodeId(3), 100).unwrap().hops(), 3);
+    }
+
+    /// The u8 boundary: a 300-vertex path with the odd ids as brokers,
+    /// built at the largest cap. Every column's finite sum for (0, 299)
+    /// exceeds 255 and saturates; bounds past `u32::MAX` must not wrap.
+    #[test]
+    fn u8_boundary_queries_match_exact() {
+        let n = 300u32;
+        let g = from_edges(n as usize, (0..n - 1).map(|i| (NodeId(i), NodeId(i + 1))));
+        let odd: Vec<u32> = (1..n).step_by(2).collect();
+        let b = set(n as usize, &odd);
+        let idx = ReachIndex::build(&g, &b, MAX_HOP_CAP, 1);
+        let clear = FaultState::all_clear(n as usize);
+        for t in [1u32, 200, 252, 253, 254, 255, 256, 299] {
+            for l in [0usize, 1, 253, 254, 255, 1000, 1 << 32] {
+                let want = exact_query(&g, &b, &clear, NodeId(0), NodeId(t), l.min(MAX_HOP_CAP));
+                assert_eq!(
+                    idx.query(NodeId(0), NodeId(t), l),
+                    want,
+                    "(0, {t}) at l = {l}"
+                );
+            }
+        }
+        let far = idx.query(NodeId(0), NodeId(254), 1000).unwrap();
+        assert_eq!((far.broker, far.hops()), (NodeId(1), 254));
+        assert!(idx.query(NodeId(0), NodeId(255), 1000).is_none());
+        assert!(idx.query(NodeId(0), NodeId(299), 1000).is_none());
     }
 
     #[test]
@@ -1263,6 +1323,50 @@ mod tests {
             assert!(idx.audit().is_ok());
         }
         assert!(idx.shards_invalidated() > 0);
+    }
+
+    /// k = 150 spans three 64-column blocks, so a merge that writes a
+    /// whole block into the wrong columns shows here: rebuilds with a gap
+    /// in every block, checked against a full build, the reference BFS and
+    /// the exact oracle at several thread counts.
+    #[test]
+    fn multi_block_invalidation_matches_full_rebuild() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let n = 400u32;
+        let g = netgraph::barabasi_albert(n as usize, 2, &mut rng);
+        let mut ids: Vec<u32> = (0..n).collect();
+        ids.shuffle(&mut rng);
+        let brokers = set(n as usize, &ids[..150]);
+        let roster: Vec<NodeId> = brokers.iter().collect();
+        let mut sched = FaultSchedule::new(g.node_count());
+        for pos in [5, 70, 140] {
+            sched.fail_broker(1, roster[pos]);
+            sched.recover_broker(3, roster[pos]);
+        }
+        let plain = NodeId(ids[200]);
+        sched.fail_node(2, plain);
+        sched.fail_edge(2, roster[0], g.neighbors(roster[0])[0]);
+        sched.set_horizon(4);
+        let pairs: Vec<(NodeId, NodeId)> = (0..300)
+            .map(|_| (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n))))
+            .collect();
+
+        for threads in [1, 2, 4, 7] {
+            let mut idx = ReachIndex::build(&g, &brokers, 6, threads);
+            for epoch in 0..sched.horizon() {
+                let state = sched.state_at(epoch);
+                idx.apply_state(&g, &state, threads);
+                let full = ReachIndex::build_under(&g, &brokers, 6, &state, threads);
+                assert_eq!(idx.dist, full.dist, "threads {threads}, epoch {epoch}");
+                assert_eq!(idx.live, full.live);
+                let cert = IndexCertificate::new(&g, &idx, roster.len(), 0).audit();
+                assert!(cert.is_ok(), "threads {threads}, epoch {epoch}: {cert:?}");
+                for &(s, t) in &pairs {
+                    let want = exact_query(&g, &brokers, &state, s, t, 6);
+                    assert_eq!(idx.query(s, t, 6), want, "({s}, {t}) at epoch {epoch}");
+                }
+            }
+        }
     }
 
     #[test]
