@@ -87,7 +87,7 @@ fn main() {
     // raises the stop flag, then opens a throwaway connection to wake
     // the accept loop out of its blocking accept.
     let stop = Arc::new(AtomicBool::new(false));
-    let mut workers = Vec::new();
+    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
         let conn = match listener.accept() {
             Ok(conn) => conn,
@@ -103,6 +103,14 @@ fn main() {
         let counters = Arc::clone(&counters);
         let stop = Arc::clone(&stop);
         let threads = rc.threads;
+        // Join the threads of closed connections now, so a long-lived
+        // daemon does not keep one finished thread's stack per past
+        // connection until shutdown.
+        let (done, live): (Vec<_>, Vec<_>) = workers.into_iter().partition(|h| h.is_finished());
+        for w in done {
+            let _ = w.join();
+        }
+        workers = live;
         workers.push(std::thread::spawn(move || {
             match proto::serve(conn, &index, &counters, threads) {
                 Ok(true) => {

@@ -144,7 +144,12 @@ fn main() {
             pairs.push((NodeId(u), NodeId(v)));
         }
     }
-    let stats = replay_sessions(g, sel.brokers(), &schedule, &pairs);
+    let stats = replay_sessions(
+        std::slice::from_ref(g),
+        std::slice::from_ref(sel.brokers()),
+        &schedule,
+        &pairs,
+    );
     println!(
         "\nsessions: {} replayed; mean availability {}; {} failovers,\n\
          {} reroutes; {} sessions never dropped",

@@ -27,7 +27,7 @@
 //!
 //! Finally the same timeline composes with a [`netgraph::FaultSchedule`]
 //! (broker defections mid-growth) and supervised sessions replay over
-//! the *evolving* graphs ([`routing::replay_sessions_evolving`]):
+//! the *evolving* graphs ([`routing::replay_sessions`]):
 //! churn and faults in one timeline.
 //!
 //! Writes `BENCH_evolve.json` at the repo root (wall-clock totals plus
@@ -40,10 +40,10 @@
 
 use bench::{header, pct, RunConfig};
 use brokerset::{greedy_mcb, BrokerMaintainer, MaintainConfig, Validate};
-use netgraph::{par, FaultSchedule, Graph, NodeId, NodeSet};
+use netgraph::{fnv1a_words, par, FaultSchedule, Graph, NodeId, NodeSet};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use routing::replay_sessions_evolving;
+use routing::replay_sessions;
 use std::collections::BTreeSet;
 use std::time::Instant;
 use topology::{evolve, GrowthConfig, Scale};
@@ -57,18 +57,6 @@ const GAP_BOUND: f64 = 0.02;
 /// recomputation, asserted at quarter scale and above.
 const SPEEDUP_FLOOR: f64 = 10.0;
 const SESSION_PAIRS: usize = 24;
-
-/// FNV-1a over a stream of u64 values (fed little-endian byte-wise).
-fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
 
 /// Coverage `|B ∪ N(B)|` re-derived from scratch (shares no state with
 /// the maintainer it audits).
@@ -207,7 +195,7 @@ fn main() {
         let covs: Vec<u64> = par::map_auto(&epoch_ids, t, move |&e| {
             coverage_of(&gs[e], &hist[e]) as u64
         });
-        let checksum = fnv1a(
+        let checksum = fnv1a_words(
             covs.iter()
                 .copied()
                 .chain(
@@ -249,7 +237,7 @@ fn main() {
             pairs.push((NodeId(u), NodeId(v)));
         }
     }
-    let stats = replay_sessions_evolving(&graphs_shared, &broker_sets, &schedule, &pairs);
+    let stats = replay_sessions(&graphs_shared, &broker_sets, &schedule, &pairs);
     println!(
         "\nsessions over evolving topology: {} replayed; mean availability {};\n\
          {} failovers, {} reroutes; {} sessions never dropped",

@@ -8,8 +8,8 @@
 
 use bench::{header, pct, RunConfig};
 use brokerset::{
-    failure_trace_threaded, greedy_repair, lhop_failure_trace_threaded, max_subgraph_greedy,
-    saturated_connectivity, FailureOrder,
+    chaos_trace_threaded, greedy_repair, max_subgraph_greedy, saturated_connectivity, FailureOrder,
+    SourceMode,
 };
 use netgraph::NodeSet;
 
@@ -24,34 +24,27 @@ fn main() {
     );
 
     let sel = max_subgraph_greedy(g, rc.budgets(n)[2]);
-    let targeted = failure_trace_threaded(
-        g,
-        &sel,
-        FailureOrder::TargetedBySelectionRank,
-        10,
-        rc.threads,
-    );
-    let random = failure_trace_threaded(
-        g,
-        &sel,
-        FailureOrder::Random {
-            seed: rc.seed ^ 0xfa11,
-        },
-        10,
-        rc.threads,
-    );
-
-    // Hop-bounded view of the same targeted trace: short dominating
-    // paths decay before saturated connectivity does. Exact at every
-    // step — affordable thanks to the 64-lane msbfs kernel.
+    // The targeted trace also carries the hop-bounded view: short
+    // dominating paths decay before saturated connectivity does. Exact
+    // at every step — affordable thanks to the 64-lane msbfs kernel.
     const MAX_L: usize = 6;
-    let targeted_lhop = lhop_failure_trace_threaded(
+    let targeted = chaos_trace_threaded(
         g,
         &sel,
-        FailureOrder::TargetedBySelectionRank,
-        10,
-        MAX_L,
+        &FailureOrder::TargetedBySelectionRank.schedule(&sel, 10),
+        Some(MAX_L),
         rc.source_mode(),
+        rc.threads,
+    );
+    let random_order = FailureOrder::Random {
+        seed: rc.seed ^ 0xfa11,
+    };
+    let random = chaos_trace_threaded(
+        g,
+        &sel,
+        &random_order.schedule(&sel, 10),
+        None,
+        SourceMode::Exact,
         rc.threads,
     );
 
@@ -62,13 +55,13 @@ fn main() {
         "random",
         format!("targeted l<={MAX_L}")
     );
-    for i in 0..targeted.connectivity.len() {
+    for (t, r) in targeted.steps.iter().zip(&random.steps) {
         println!(
             "{:<10} {:<12} {:<12} {:<14}",
-            format!("{:.0}%", 100.0 * targeted.removed_fraction[i]),
-            pct(targeted.connectivity[i]),
-            pct(random.connectivity[i]),
-            pct(targeted_lhop.lhop_connectivity[i]),
+            format!("{:.0}%", 100.0 * t.removed_fraction()),
+            pct(t.saturated),
+            pct(r.saturated),
+            pct(t.lhop.unwrap_or(0.0)),
         );
     }
 

@@ -7,7 +7,6 @@
 //!
 //! Usage: `fig2b [tiny|quarter|full] [seed] [--threads N] [--obs PATH]`
 
-use bench::curve_threaded;
 use bench::{header, pct, RunConfig};
 use brokerset::{
     approx_mcbg, degree_based, ixp_based, max_subgraph_greedy, pagerank_based,
@@ -97,7 +96,7 @@ fn main() {
         (1..=6).map(|l| format!("l={l:<7}")).collect::<String>()
     );
     for (name, set) in all {
-        let curve = curve_threaded(g, set, 6, mode, rc.threads);
+        let curve = brokerset::lhop_curve_parallel(g, set, 6, mode, rc.threads);
         let cells: String = curve
             .fractions
             .iter()

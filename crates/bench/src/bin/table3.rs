@@ -10,7 +10,6 @@
 //! Usage: `table3 [tiny|quarter|full] [seed] [--threads N] [--obs PATH]
 //! [--record DIR]`
 
-use bench::curve_threaded;
 use bench::{header, pct, RunConfig};
 use netgraph::{barabasi_albert, erdos_renyi_gnm, watts_strogatz, Graph, NodeSet};
 use rand::SeedableRng;
@@ -51,7 +50,7 @@ fn main() {
     );
     let mut recorded: Vec<(String, serde_json::Value)> = Vec::new();
     for (name, graph) in rows {
-        let curve = curve_threaded(
+        let curve = brokerset::lhop_curve_parallel(
             graph,
             &NodeSet::full(graph.node_count()),
             max_l,

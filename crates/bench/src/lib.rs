@@ -269,29 +269,6 @@ fn budget(n: usize, frac: f64) -> usize {
     ((n as f64 * frac).round() as usize).max(1)
 }
 
-/// Evaluate an l-hop curve using all available cores (identical output
-/// to the sequential evaluator).
-pub fn curve(
-    g: &netgraph::Graph,
-    brokers: &netgraph::NodeSet,
-    max_l: usize,
-    mode: SourceMode,
-) -> brokerset::connectivity::LhopCurve {
-    curve_threaded(g, brokers, max_l, mode, 0)
-}
-
-/// Evaluate an l-hop curve on an explicit worker count (`0` = all
-/// hardware threads); output is identical at every setting.
-pub fn curve_threaded(
-    g: &netgraph::Graph,
-    brokers: &netgraph::NodeSet,
-    max_l: usize,
-    mode: SourceMode,
-    threads: usize,
-) -> brokerset::connectivity::LhopCurve {
-    brokerset::lhop_curve_parallel(g, brokers, max_l, mode, threads)
-}
-
 /// Provenance record written next to an experiment's stdout: which
 /// binary, scale and seed produced a result set, plus the measured
 /// values as free-form JSON.

@@ -15,11 +15,14 @@
 //!   error reported.
 
 use netgraph::components::Components;
-use netgraph::{msbfs, with_msbfs, DominatedView, Graph, GraphView, NodeId, NodeSet, UnionFind};
+use netgraph::{
+    msbfs, par, with_msbfs, DominatedView, Graph, GraphView, NodeId, NodeSet, UnionFind,
+};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How to choose BFS sources for l-hop evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,18 +55,16 @@ pub struct ConnectivityReport {
     pub broker_count: usize,
 }
 
-/// Resolve a [`SourceMode`] into the concrete BFS source list.
-pub(crate) fn sample_sources(g: &Graph, mode: SourceMode) -> Vec<NodeId> {
-    let n = g.node_count();
-    match mode {
-        SourceMode::Exact => g.nodes().collect(),
-        SourceMode::Sampled { count, seed } => {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut all: Vec<NodeId> = g.nodes().collect();
-            all.shuffle(&mut rng);
+impl SourceMode {
+    /// Resolve the mode into the concrete BFS source list over the
+    /// vertices `0..n`.
+    pub fn sources(self, n: usize) -> Vec<NodeId> {
+        let mut all: Vec<NodeId> = (0..n).map(NodeId::from).collect();
+        if let SourceMode::Sampled { count, seed } = self {
+            all.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
             all.truncate(count.max(1).min(n));
-            all
         }
+        all
     }
 }
 
@@ -102,7 +103,7 @@ pub fn sample_std_error(values: &[f64], population: usize) -> Option<f64> {
 /// including `finals`, whose division happens per source in source
 /// order. Batch boundaries are invisible: each lane only ever
 /// contributes its own counts.
-pub(crate) fn run_sources(
+fn run_sources(
     g: &Graph,
     brokers: &NodeSet,
     max_l: usize,
@@ -160,26 +161,13 @@ pub(crate) fn run_sources_over<V: GraphView + Copy>(
 /// Connected components of `(V, E_B)` where
 /// `E_B = {(u, v) : u ∈ B ∨ v ∈ B}`.
 pub fn dominated_components(g: &Graph, brokers: &NodeSet) -> Components {
-    let n = g.node_count();
-    let mut uf = UnionFind::new(n);
+    let mut uf = UnionFind::new(g.node_count());
     for b in brokers.iter() {
         for &v in g.neighbors(b) {
             uf.union(b.index(), v.index());
         }
     }
-    // Convert union-find into the Components shape.
-    let mut label = vec![u32::MAX; n];
-    let mut sizes: Vec<usize> = Vec::new();
-    for v in 0..n {
-        let r = uf.find(v);
-        if label[r] == u32::MAX {
-            label[r] = sizes.len() as u32;
-            sizes.push(0);
-        }
-        label[v] = label[r];
-        sizes[label[r] as usize] += 1;
-    }
-    Components { label, sizes }
+    uf.into_components()
 }
 
 /// Saturated E2E connectivity of a broker set (the l → ∞ value the
@@ -226,11 +214,35 @@ impl LhopCurve {
     }
 }
 
-/// Compute `F_B(l)` for `l = 1 ..= max_l`.
+/// Compute `F_B(l)` for `l = 1 ..= max_l`:
+/// [`lhop_curve_parallel`] on one thread.
 ///
 /// With `brokers = NodeSet::full(n)` this degenerates to the free-path
 /// curve ("ASesWithIXPs" in Fig. 2b / Table 3).
 pub fn lhop_curve(g: &Graph, brokers: &NodeSet, max_l: usize, mode: SourceMode) -> LhopCurve {
+    lhop_curve_parallel(g, brokers, max_l, mode, 1)
+}
+
+/// Compute `F_B(l)` for `l = 1 ..= max_l` on `threads` workers
+/// (`0` = all hardware threads) via [`netgraph::par`]; the result is
+/// *bit-identical* at every thread count.
+///
+/// The fan-out unit is one msbfs **lane batch**: batch `b` covers
+/// `sources[b * LANES .. (b + 1) * LANES]`, so every work item feeds the
+/// 64-lane kernel a full batch instead of single sources. Batch
+/// boundaries are fixed by [`msbfs::LANES`] (never by `threads`), the
+/// cumulative histogram merge is integer-additive, and the per-source
+/// finals concatenate in batch order — so the result is invariant both
+/// to the thread count *and* to how batches are grouped into pool
+/// chunks, which makes [`par::adaptive_chunk`] sizing safe here. Worker
+/// panics propagate to the caller.
+pub fn lhop_curve_parallel(
+    g: &Graph,
+    brokers: &NodeSet,
+    max_l: usize,
+    mode: SourceMode,
+    threads: usize,
+) -> LhopCurve {
     let n = g.node_count();
     if n < 2 || max_l == 0 {
         return LhopCurve {
@@ -239,16 +251,52 @@ pub fn lhop_curve(g: &Graph, brokers: &NodeSet, max_l: usize, mode: SourceMode) 
             sources: 0,
         };
     }
-    let sources = sample_sources(g, mode);
-    let (cum, per_source_final) = run_sources(g, brokers, max_l, &sources);
+    let sources = Arc::new(mode.sources(n));
+    let n_sources = sources.len();
+    let batches: Vec<u32> = (0..n_sources.div_ceil(msbfs::LANES) as u32).collect();
 
-    let denom = sources.len() as f64 * (n as f64 - 1.0);
+    // Pool jobs are 'static: the closure owns one CSR clone, one broker
+    // set clone, and a shared handle on the source list.
+    let g_owned = g.clone();
+    let brokers_owned = brokers.clone();
+    let src = Arc::clone(&sources);
+    let chunk_size = par::adaptive_chunk(batches.len(), threads);
+    let (cum, finals) = par::map_reduce(
+        &batches,
+        chunk_size,
+        threads,
+        move |chunk| {
+            let mut cum = vec![0u64; max_l];
+            let mut finals = Vec::new();
+            for &b in chunk {
+                let lo = b as usize * msbfs::LANES;
+                let hi = (lo + msbfs::LANES).min(src.len());
+                let (batch_cum, batch_finals) =
+                    run_sources(&g_owned, &brokers_owned, max_l, &src[lo..hi]);
+                for (acc, c) in cum.iter_mut().zip(batch_cum) {
+                    *acc += c;
+                }
+                finals.extend(batch_finals);
+            }
+            (cum, finals)
+        },
+        (vec![0u64; max_l], Vec::with_capacity(n_sources)),
+        |(mut cum, mut finals), (partial_cum, partial_finals)| {
+            for (acc, c) in cum.iter_mut().zip(partial_cum) {
+                *acc += c;
+            }
+            finals.extend(partial_finals);
+            (cum, finals)
+        },
+    );
+
+    let denom = n_sources as f64 * (n as f64 - 1.0);
     let fractions: Vec<f64> = cum.iter().map(|&c| c as f64 / denom).collect();
-    let std_error = sample_std_error(&per_source_final, n);
+    let std_error = sample_std_error(&finals, n);
     LhopCurve {
         fractions,
         std_error,
-        sources: sources.len(),
+        sources: n_sources,
     }
 }
 

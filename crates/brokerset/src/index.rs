@@ -71,8 +71,8 @@
 
 use netgraph::msbfs::LANES;
 use netgraph::{
-    with_msbfs, AuditReport, DominatedView, FaultState, FaultView, Graph, GraphDelta, GraphView,
-    NodeId, NodeSet, Permuted, Validate,
+    fnv1a, with_msbfs, AuditReport, DominatedView, FaultState, FaultView, Graph, GraphDelta,
+    GraphView, NodeId, NodeSet, Permuted, Validate,
 };
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -654,7 +654,7 @@ impl ReachIndex {
         }
         push_ids(&mut buf, &self.defected);
         buf.extend_from_slice(&self.dist);
-        let digest = fnv1a(&buf);
+        let digest = fnv1a(buf.iter().copied());
         buf.extend_from_slice(&digest.to_le_bytes());
         buf
     }
@@ -672,7 +672,7 @@ impl ReachIndex {
         let (payload, trailer) = data.split_at(data.len() - 8);
         let mut digest = [0u8; 8];
         digest.copy_from_slice(trailer);
-        if fnv1a(payload) != u64::from_le_bytes(digest) {
+        if fnv1a(payload.iter().copied()) != u64::from_le_bytes(digest) {
             return Err(IndexCodecError::ChecksumMismatch);
         }
         if payload.len() < 4 {
@@ -762,7 +762,7 @@ impl ReachIndex {
     /// FNV-1a digest of the serialized index — a cheap identity for
     /// cross-configuration equality assertions.
     pub fn digest(&self) -> u64 {
-        fnv1a(&self.to_bytes())
+        fnv1a(self.to_bytes())
     }
 }
 
@@ -1005,8 +1005,7 @@ pub fn exact_query(
 /// FNV-1a over the canonical encoding of an answer stream — the
 /// cross-configuration equality currency of the serving layer.
 pub fn answers_checksum<I: IntoIterator<Item = Option<StitchAnswer>>>(answers: I) -> u64 {
-    let mut h = FNV_OFFSET;
-    for ans in answers {
+    fnv1a(answers.into_iter().flat_map(|ans| {
         let mut word = [0u8; 13];
         if let Some(a) = ans {
             word[0] = 1;
@@ -1014,22 +1013,8 @@ pub fn answers_checksum<I: IntoIterator<Item = Option<StitchAnswer>>>(answers: I
             word[5..9].copy_from_slice(&a.hops_s.to_le_bytes());
             word[9..13].copy_from_slice(&a.hops_t.to_le_bytes());
         }
-        for &b in &word {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
+        word
+    }))
 }
 
 fn push_ids(buf: &mut Vec<u8>, set: &NodeSet) {
@@ -1287,7 +1272,7 @@ mod tests {
         bad_magic[0] = b'X';
         let fixed = {
             let payload_len = bad_magic.len() - 8;
-            let digest = fnv1a(&bad_magic[..payload_len]).to_le_bytes();
+            let digest = fnv1a(bad_magic[..payload_len].iter().copied()).to_le_bytes();
             bad_magic[payload_len..].copy_from_slice(&digest);
             bad_magic
         };

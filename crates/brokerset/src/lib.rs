@@ -65,7 +65,6 @@ pub mod index;
 pub mod lengthaware;
 pub mod localsearch;
 pub mod maxsg;
-pub mod parallel;
 pub mod pareto;
 pub mod problem;
 pub mod resilience;
@@ -83,7 +82,8 @@ pub use chaos::{
 };
 pub use composition::{broker_only_connectivity, composition_histogram, ranked_brokers};
 pub use connectivity::{
-    dominated_components, lhop_curve, saturated_connectivity, ConnectivityReport, SourceMode,
+    dominated_components, lhop_curve, lhop_curve_parallel, saturated_connectivity,
+    ConnectivityReport, SourceMode,
 };
 pub use coverage::CoverageState;
 pub use exact::{solve_mcb_exact, solve_mcbg_exact, solve_pds_exact};
@@ -99,13 +99,9 @@ pub use index::{
 pub use lengthaware::{select_with_length_constraint, LengthConstrainedSelection};
 pub use localsearch::{local_search_coverage, LocalSearchResult};
 pub use maxsg::max_subgraph_greedy;
-pub use parallel::lhop_curve_parallel;
 pub use pareto::Frontier;
 pub use problem::{BrokerSelection, PathLengthConstraint};
-pub use resilience::{
-    failure_trace, failure_trace_threaded, greedy_repair, lhop_failure_trace,
-    lhop_failure_trace_threaded, FailureOrder, LhopResilienceTrace, ResilienceTrace,
-};
+pub use resilience::{greedy_repair, FailureOrder};
 pub use sweep::{connectivity_sweep, ConnectivitySweep};
 pub use validate::{AuditReport, CoverageCertificate, Validate};
 pub use weighted::{degree_proxy_weights, greedy_mcb_weighted, WeightedCoverage};

@@ -4,8 +4,8 @@
 //! produced on.
 
 use brokerset::{
-    chaos_trace, chaos_trace_threaded, failure_trace, failure_trace_threaded, lhop_curve,
-    lhop_curve_parallel, max_subgraph_greedy, FailureOrder, ReachIndex, SourceMode,
+    chaos_trace, chaos_trace_threaded, lhop_curve, lhop_curve_parallel, max_subgraph_greedy,
+    FailureOrder, ReachIndex, SourceMode,
 };
 use netgraph::{FaultGroup, FaultSchedule, NodeId};
 use topology::{InternetConfig, Scale};
@@ -79,17 +79,11 @@ fn failure_trace_bit_identical() {
         FailureOrder::TargetedBySelectionRank,
         FailureOrder::Random { seed: 5 },
     ] {
-        let seq = failure_trace(g, &sel, order, 8);
+        let schedule = order.schedule(&sel, 8);
+        let seq = chaos_trace(g, &sel, &schedule, None, SourceMode::Exact);
         for t in THREADS {
-            let par = failure_trace_threaded(g, &sel, order, 8, t);
-            assert_eq!(
-                seq.removed_fraction, par.removed_fraction,
-                "failure fractions diverged at threads={t}"
-            );
-            assert_eq!(
-                seq.connectivity, par.connectivity,
-                "failure connectivity diverged at threads={t}"
-            );
+            let par = chaos_trace_threaded(g, &sel, &schedule, None, SourceMode::Exact, t);
+            assert_eq!(seq, par, "failure trace diverged at threads={t}");
         }
     }
 }

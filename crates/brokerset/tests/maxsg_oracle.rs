@@ -72,16 +72,9 @@ fn rescan_maxsg(g: &Graph, k: usize) -> BrokerSelection {
     BrokerSelection::new("maxsg", n, order)
 }
 
-/// FNV-1a over the order's ids as little-endian `u32`s, with the
-/// constants of `brokerset::index::answers_checksum`.
+/// FNV-1a over the order's ids as little-endian `u32`s.
 fn order_checksum(order: &[NodeId]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in order {
-        for b in v.0.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    netgraph::fnv1a(order.iter().flat_map(|v| v.0.to_le_bytes()))
 }
 
 /// Two disjoint copies of `g`: the second copy's ids are shifted by

@@ -6,8 +6,8 @@
 //! what [`UnionFind`] provides. The saturated E2E connectivity metric is a
 //! straight function of component sizes.
 
-use crate::view::GraphView;
-use crate::{Graph, NodeId, NodeSet};
+use crate::view::{FullView, GraphView};
+use crate::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// Union-find (disjoint set union) with path halving and union by size.
@@ -99,6 +99,24 @@ impl UnionFind {
     pub fn largest_component(&self) -> usize {
         self.largest as usize
     }
+
+    /// The [`Components`] of the current partition. Components are
+    /// labelled in order of their smallest vertex.
+    pub fn into_components(mut self) -> Components {
+        let n = self.len();
+        let mut label = vec![u32::MAX; n];
+        let mut sizes: Vec<usize> = Vec::new();
+        for v in 0..n {
+            let r = self.find(v);
+            if label[r] == u32::MAX {
+                label[r] = sizes.len() as u32;
+                sizes.push(0);
+            }
+            label[v] = label[r];
+            sizes[label[r] as usize] += 1;
+        }
+        Components { label, sizes }
+    }
 }
 
 /// Result of a full connected-components decomposition.
@@ -149,32 +167,10 @@ impl Components {
     }
 }
 
-/// Decompose `g` into connected components (iterative DFS over CSR).
+/// Decompose `g` into connected components: [`view_components`] over
+/// the full graph.
 pub fn connected_components(g: &Graph) -> Components {
-    let n = g.node_count();
-    let mut label = vec![u32::MAX; n];
-    let mut sizes = Vec::new();
-    let mut stack = Vec::new();
-    for s in 0..n {
-        if label[s] != u32::MAX {
-            continue;
-        }
-        let c = sizes.len() as u32;
-        let mut size = 0usize;
-        label[s] = c;
-        stack.push(NodeId::from(s));
-        while let Some(u) = stack.pop() {
-            size += 1;
-            for &v in g.neighbors(u) {
-                if label[v.index()] == u32::MAX {
-                    label[v.index()] = c;
-                    stack.push(v);
-                }
-            }
-        }
-        sizes.push(size);
-    }
-    Components { label, sizes }
+    view_components(&FullView::new(g))
 }
 
 /// Connected components of an arbitrary [`GraphView`] via union-find
@@ -198,63 +194,7 @@ pub fn view_components<V: GraphView>(view: &V) -> Components {
             uf.union(u, v.index());
         });
     }
-    let mut label = vec![u32::MAX; n];
-    let mut sizes: Vec<usize> = Vec::new();
-    for v in 0..n {
-        let r = uf.find(v);
-        if label[r] == u32::MAX {
-            label[r] = sizes.len() as u32;
-            sizes.push(0);
-        }
-        label[v] = label[r];
-        sizes[label[r] as usize] += 1;
-    }
-    Components { label, sizes }
-}
-
-/// Components of the subgraph induced by `allowed` (vertices outside the
-/// set are treated as absent). Labels of excluded vertices are `u32::MAX`.
-pub fn components_within(g: &Graph, allowed: &NodeSet) -> Components {
-    let n = g.node_count();
-    let mut label = vec![u32::MAX; n];
-    let mut sizes = Vec::new();
-    let mut stack = Vec::new();
-    for s in allowed.iter() {
-        if label[s.index()] != u32::MAX {
-            continue;
-        }
-        let c = sizes.len() as u32;
-        let mut size = 0usize;
-        label[s.index()] = c;
-        stack.push(s);
-        while let Some(u) = stack.pop() {
-            size += 1;
-            for &v in g.neighbors(u) {
-                if allowed.contains(v) && label[v.index()] == u32::MAX {
-                    label[v.index()] = c;
-                    stack.push(v);
-                }
-            }
-        }
-        sizes.push(size);
-    }
-    Components { label, sizes }
-}
-
-/// The vertex set of the largest connected component of `g`.
-///
-/// Returns an empty set for an empty graph.
-pub fn giant_component(g: &Graph) -> NodeSet {
-    let comps = connected_components(g);
-    let mut out = NodeSet::new(g.node_count());
-    if let Some((giant, _)) = comps.giant() {
-        for v in g.nodes() {
-            if comps.label[v.index()] as usize == giant {
-                out.insert(v);
-            }
-        }
-    }
-    out
+    uf.into_components()
 }
 
 impl crate::Validate for UnionFind {
@@ -388,31 +328,6 @@ mod tests {
         assert_eq!(c.count(), 0);
         assert!(c.giant().is_none());
         assert_eq!(c.connected_ordered_pairs(), 0);
-    }
-
-    #[test]
-    fn giant_component_extraction() {
-        let g = from_edges(
-            6,
-            [(0, 1), (1, 2), (3, 4)].map(|(a, b)| (NodeId(a), NodeId(b))),
-        );
-        let giant = giant_component(&g);
-        assert_eq!(giant.to_vec(), vec![NodeId(0), NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn components_within_mask() {
-        // Path 0-1-2-3-4; removing 2 splits it.
-        let g = from_edges(5, (0..4).map(|i| (NodeId(i), NodeId(i + 1))));
-        let mut allowed = NodeSet::full(5);
-        allowed.remove(NodeId(2));
-        let c = components_within(&g, &allowed);
-        assert_eq!(c.count(), 2);
-        let mut sizes = c.sizes.clone();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![2, 2]);
-        assert_eq!(c.label[2], u32::MAX);
-        assert_eq!(c.connected_ordered_pairs(), 4);
     }
 
     #[test]

@@ -73,6 +73,7 @@ pub mod dijkstra;
 pub mod error;
 pub mod export;
 pub mod fault;
+pub mod fnv;
 pub mod gen;
 pub mod graph;
 pub mod metrics;
@@ -86,9 +87,7 @@ pub mod view;
 
 pub use alphabeta::{estimate_alpha, hop_histogram, AlphaBetaEstimate, HopHistogram};
 pub use centrality::{coreness, degree_sequence, pagerank, top_by_score, PageRankConfig};
-pub use components::{
-    connected_components, giant_component, view_components, Components, UnionFind,
-};
+pub use components::{connected_components, view_components, Components, UnionFind};
 pub use delta::{DeltaView, GraphDelta};
 pub use dijkstra::{dijkstra, WeightedGraph};
 pub use error::GraphError;
@@ -96,6 +95,7 @@ pub use export::{to_dot, to_edge_list};
 pub use fault::{
     FaultAction, FaultEvent, FaultGroup, FaultSchedule, FaultState, FaultTarget, FaultView,
 };
+pub use fnv::{fnv1a, fnv1a_words};
 pub use gen::{barabasi_albert, erdos_renyi_gnm, erdos_renyi_gnp, watts_strogatz};
 pub use graph::{undirected_key, Graph, GraphBuilder, NodeId, Permuted};
 pub use metrics::{
@@ -104,9 +104,6 @@ pub use metrics::{
 };
 pub use msbfs::{msbfs_distances, with_msbfs, LaneSet, MsBfsArena, Wavefront};
 pub use nodeset::NodeSet;
-pub use traverse::{
-    bfs_distances, bfs_distances_bounded, bfs_parents, multi_source_bfs, restricted_bfs_distances,
-    shortest_path, with_arena, TraversalArena,
-};
+pub use traverse::{bfs_distances, bfs_parents, with_arena, TraversalArena};
 pub use validate::{debug_validate, AuditReport, Finding, Validate};
 pub use view::{DominatedView, FullView, GraphView, InducedView, MaskedView};

@@ -20,11 +20,10 @@
 //! signatures.
 //!
 //! Convenience wrappers (allocating, for one-shot use and doctests):
-//! [`bfs_distances`], [`bfs_distances_bounded`], [`multi_source_bfs`],
-//! [`restricted_bfs_distances`], [`bfs_parents`], [`shortest_path`].
+//! [`bfs_distances`], [`bfs_parents`].
 
-use crate::view::{FullView, GraphView, InducedView};
-use crate::{Graph, NodeId, NodeSet};
+use crate::view::{FullView, GraphView};
+use crate::{Graph, NodeId};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
@@ -143,7 +142,27 @@ impl TraversalArena {
     /// Returns the number of reached vertices (including `src`), or 0
     /// when the view excludes `src`.
     pub fn run_bounded<V: GraphView>(&mut self, view: V, src: NodeId, max_depth: u32) -> usize {
-        self.begin(view.node_count(), false);
+        self.expand(view, src, max_depth, false)
+    }
+
+    /// Full-tree parent-tracking BFS over `view` from `src`; afterwards
+    /// query [`TraversalArena::parent`] / [`TraversalArena::path_to`].
+    /// Returns the number of reached vertices (0 when the view excludes
+    /// `src`).
+    pub fn run_parents<V: GraphView>(&mut self, view: V, src: NodeId) -> usize {
+        self.expand(view, src, u32::MAX, true)
+    }
+
+    /// The expansion loop behind [`TraversalArena::run_bounded`] and
+    /// [`TraversalArena::run_parents`].
+    fn expand<V: GraphView>(
+        &mut self,
+        view: V,
+        src: NodeId,
+        max_depth: u32,
+        track_parents: bool,
+    ) -> usize {
+        self.begin(view.node_count(), track_parents);
         if !view.contains_node(src) {
             return 0;
         }
@@ -155,58 +174,6 @@ impl TraversalArena {
             if du >= max_depth {
                 continue;
             }
-            view.for_each_neighbor(u, |v| {
-                if self.mark(v, du + 1, u) {
-                    reached += 1;
-                    self.queue.push_back(v);
-                }
-            });
-        }
-        reached
-    }
-
-    /// Multi-source BFS over `view`; distances are to the nearest source.
-    /// Sources the view excludes are skipped. Returns the number of
-    /// reached vertices.
-    pub fn run_multi<V: GraphView, I: IntoIterator<Item = NodeId>>(
-        &mut self,
-        view: V,
-        sources: I,
-    ) -> usize {
-        self.begin(view.node_count(), false);
-        let mut reached = 0usize;
-        for s in sources {
-            if view.contains_node(s) && self.mark(s, 0, s) {
-                reached += 1;
-                self.queue.push_back(s);
-            }
-        }
-        while let Some(u) = self.queue.pop_front() {
-            let du = self.dist[u.index()];
-            view.for_each_neighbor(u, |v| {
-                if self.mark(v, du + 1, u) {
-                    reached += 1;
-                    self.queue.push_back(v);
-                }
-            });
-        }
-        reached
-    }
-
-    /// Full-tree parent-tracking BFS over `view` from `src`; afterwards
-    /// query [`TraversalArena::parent`] / [`TraversalArena::path_to`].
-    /// Returns the number of reached vertices (0 when the view excludes
-    /// `src`).
-    pub fn run_parents<V: GraphView>(&mut self, view: V, src: NodeId) -> usize {
-        self.begin(view.node_count(), true);
-        if !view.contains_node(src) {
-            return 0;
-        }
-        self.mark(src, 0, src);
-        self.queue.push_back(src);
-        let mut reached = 1usize;
-        while let Some(u) = self.queue.pop_front() {
-            let du = self.dist[u.index()];
             view.for_each_neighbor(u, |v| {
                 if self.mark(v, du + 1, u) {
                     reached += 1;
@@ -335,33 +302,6 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<Option<u32>> {
     })
 }
 
-/// Like [`bfs_distances`] but not expanding past `max_depth` hops.
-pub fn bfs_distances_bounded(g: &Graph, src: NodeId, max_depth: u32) -> Vec<Option<u32>> {
-    with_arena(|arena| {
-        arena.run_bounded(FullView::new(g), src, max_depth);
-        g.nodes().map(|v| arena.distance(v)).collect()
-    })
-}
-
-/// Hop distance to the nearest of `sources`; `None` if unreachable.
-pub fn multi_source_bfs(g: &Graph, sources: &[NodeId]) -> Vec<Option<u32>> {
-    with_arena(|arena| {
-        arena.run_multi(FullView::new(g), sources.iter().copied());
-        g.nodes().map(|v| arena.distance(v)).collect()
-    })
-}
-
-/// Hop distances from `src` along paths confined to `allowed`.
-///
-/// This is the building block of the l-hop E2E connectivity evaluation:
-/// with `allowed = B ∪ N(B)` every path found is a B-dominated path.
-pub fn restricted_bfs_distances(g: &Graph, src: NodeId, allowed: &NodeSet) -> Vec<Option<u32>> {
-    with_arena(|arena| {
-        arena.run(InducedView::new(g, allowed), src);
-        g.nodes().map(|v| arena.distance(v)).collect()
-    })
-}
-
 /// BFS parent tree from `src`: `parent[v]` is the predecessor of `v` on
 /// one shortest path from `src`; `parent[src] = Some(src)`; `None` means
 /// unreachable.
@@ -369,22 +309,6 @@ pub fn bfs_parents(g: &Graph, src: NodeId) -> Vec<Option<NodeId>> {
     with_arena(|arena| {
         arena.run_parents(FullView::new(g), src);
         g.nodes().map(|v| arena.parent(v)).collect()
-    })
-}
-
-/// One shortest path from `src` to `dst` (inclusive of both endpoints), or
-/// `None` if `dst` is unreachable.
-///
-/// ```
-/// use netgraph::{graph::from_edges, NodeId, shortest_path};
-/// let g = from_edges(4, [(0, 1), (1, 2), (2, 3)].map(|(a, b)| (NodeId(a), NodeId(b))));
-/// let p = shortest_path(&g, NodeId(0), NodeId(3)).unwrap();
-/// assert_eq!(p, [0, 1, 2, 3].map(NodeId).to_vec());
-/// ```
-pub fn shortest_path(g: &Graph, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-    with_arena(|arena| {
-        arena.run_parents(FullView::new(g), src);
-        arena.path_to(dst)
     })
 }
 
@@ -479,7 +403,8 @@ impl crate::Validate for TraversalArena {
 mod tests {
     use super::*;
     use crate::graph::from_edges;
-    use crate::view::DominatedView;
+    use crate::view::{DominatedView, InducedView};
+    use crate::NodeSet;
 
     fn path_graph(n: u32) -> Graph {
         from_edges(n as usize, (0..n - 1).map(|i| (NodeId(i), NodeId(i + 1))))
@@ -502,25 +427,10 @@ mod tests {
     #[test]
     fn bounded_bfs_stops() {
         let g = path_graph(10);
-        let d = bfs_distances_bounded(&g, NodeId(0), 3);
-        assert_eq!(d[3], Some(3));
-        assert_eq!(d[4], None);
-    }
-
-    #[test]
-    fn multi_source_takes_nearest() {
-        let g = path_graph(7);
-        let d = multi_source_bfs(&g, &[NodeId(0), NodeId(6)]);
-        assert_eq!(d[3], Some(3));
-        assert_eq!(d[5], Some(1));
-        assert_eq!(d[0], Some(0));
-    }
-
-    #[test]
-    fn multi_source_empty_sources() {
-        let g = path_graph(3);
-        let d = multi_source_bfs(&g, &[]);
-        assert!(d.iter().all(Option::is_none));
+        let mut arena = TraversalArena::new();
+        arena.run_bounded(FullView::new(&g), NodeId(0), 3);
+        assert_eq!(arena.distance(NodeId(3)), Some(3));
+        assert_eq!(arena.distance(NodeId(4)), None);
     }
 
     #[test]
@@ -532,11 +442,12 @@ mod tests {
         let g = from_edges(5, edges);
         let mut allowed = NodeSet::full(5);
         allowed.remove(NodeId(2));
-        let d = restricted_bfs_distances(&g, NodeId(0), &allowed);
-        assert_eq!(d[1], Some(1));
-        assert_eq!(d[2], None); // masked out
-        assert_eq!(d[4], Some(1)); // via shortcut
-        assert_eq!(d[3], Some(2)); // 0-4-3
+        let mut arena = TraversalArena::new();
+        arena.run(InducedView::new(&g, &allowed), NodeId(0));
+        assert_eq!(arena.distance(NodeId(1)), Some(1));
+        assert_eq!(arena.distance(NodeId(2)), None); // masked out
+        assert_eq!(arena.distance(NodeId(4)), Some(1)); // via shortcut
+        assert_eq!(arena.distance(NodeId(3)), Some(2)); // 0-4-3
     }
 
     #[test]
@@ -556,16 +467,18 @@ mod tests {
         assert_eq!(p[3], Some(NodeId(2)));
         let path = path_from_parents(&p, NodeId(0), NodeId(3)).unwrap();
         assert_eq!(path.len(), 4);
-        assert_eq!(
-            shortest_path(&g, NodeId(0), NodeId(0)).unwrap(),
-            vec![NodeId(0)]
-        );
+        let mut arena = TraversalArena::new();
+        arena.run_parents(FullView::new(&g), NodeId(0));
+        assert_eq!(arena.path_to(NodeId(0)).unwrap(), vec![NodeId(0)]);
+        assert_eq!(arena.path_to(NodeId(3)).unwrap(), path);
     }
 
     #[test]
-    fn shortest_path_unreachable() {
+    fn path_to_unreachable_is_none() {
         let g = from_edges(4, [(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))]);
-        assert!(shortest_path(&g, NodeId(0), NodeId(3)).is_none());
+        let mut arena = TraversalArena::new();
+        arena.run_parents(FullView::new(&g), NodeId(0));
+        assert!(arena.path_to(NodeId(3)).is_none());
     }
 
     #[test]
@@ -624,10 +537,7 @@ mod tests {
         let mut arena = TraversalArena::with_capacity(5);
         assert_eq!(arena.run(FullView::new(&g), NodeId(0)), 3);
         assert_eq!(arena.run_bounded(FullView::new(&g), NodeId(0), 1), 2);
-        assert_eq!(
-            arena.run_multi(FullView::new(&g), [NodeId(3), NodeId(4)]),
-            2
-        );
+        assert_eq!(arena.run_parents(FullView::new(&g), NodeId(3)), 1);
     }
 
     #[test]

@@ -135,23 +135,6 @@ proptest! {
         prop_assert_eq!(eng, refd);
     }
 
-    /// Multi-source BFS equals the minimum over per-source runs.
-    #[test]
-    fn multi_source_is_pointwise_min(edges in arb_edges(20, 70),
-                                     sources in proptest::collection::hash_set(0u32..20, 1..6)) {
-        let g = build(20, &edges);
-        let srcs: Vec<NodeId> = sources.iter().map(|&s| NodeId(s)).collect();
-        let mut arena = TraversalArena::new();
-        arena.run_multi(FullView::new(&g), srcs.iter().copied());
-        for v in g.nodes() {
-            let best = srcs
-                .iter()
-                .filter_map(|&s| reference_bfs(&g, s, u32::MAX, |_| true, |_, _| true)[v.index()])
-                .min();
-            prop_assert_eq!(arena.distance(v), best);
-        }
-    }
-
     /// `run_to_target` finds a target at the true shortest target
     /// distance, and `path_to` returns a genuine shortest path in the
     /// view: correct endpoints, every hop a surviving edge, length equal

@@ -11,28 +11,27 @@
 //! 3. otherwise **reroute**: replan primary + backup from scratch over
 //!    the degraded dominated edge set (slow, global).
 //!
-//! Replay is a pure function of `(graph, brokers, schedule, src, dst)`,
+//! Replay is a pure function of `(graphs, brokers, schedule, src, dst)`,
 //! so session statistics are deterministic and reproducible from the
 //! serialized schedule alone.
 //!
-//! [`replay_session_evolving`] extends the model to an *evolving*
-//! topology: the caller supplies one graph (and one broker set) per
-//! epoch — typically the materialized prefixes of a
+//! The topology may *evolve*: the caller supplies one graph (and one
+//! broker set) per epoch — typically the materialized prefixes of a
 //! `topology::DeltaStream` plus the brokers a
-//! `brokerset::BrokerMaintainer` kept per epoch — and the session now
-//! survives an epoch only if every hop's edge still *exists* in that
-//! epoch's graph on top of the fault-schedule checks. Churn and faults
-//! compose in one timeline: a link the growth model withdraws behaves
-//! exactly like a cut the schedule never recovers.
+//! `brokerset::BrokerMaintainer` kept per epoch, or a single graph for
+//! a static topology — and a session survives an epoch only if every
+//! hop's edge still *exists* in that epoch's graph on top of the
+//! fault-schedule checks. Churn and faults compose in one timeline: a
+//! link the growth model withdraws behaves exactly like a cut the
+//! schedule never recovers.
 
+use crate::failover::plan_on;
 use crate::plan::{PlanError, ReconfigPlan};
 use crate::stitch::StitchedPath;
 use netgraph::{
-    undirected_key, with_arena, DominatedView, FaultSchedule, FaultState, FaultView, Graph,
-    GraphView, MaskedView, NodeId, NodeSet,
+    undirected_key, DominatedView, FaultSchedule, FaultState, FaultView, Graph, NodeId, NodeSet,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Outcome of replaying one session under a schedule.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,108 +78,6 @@ pub struct SessionStats {
 
 /// Replay one supervised session under `schedule`.
 ///
-/// `brokers` is the intact selection; per epoch, brokers that defected
-/// or whose vertex is down stop dominating edges. The session plans
-/// lazily: the first epoch's plan is not counted as a reroute.
-pub fn replay_session(
-    g: &Graph,
-    brokers: &NodeSet,
-    schedule: &FaultSchedule,
-    src: NodeId,
-    dst: NodeId,
-) -> SessionReplay {
-    let mut out = SessionReplay {
-        epochs: schedule.horizon(),
-        connected_epochs: 0,
-        failovers: 0,
-        reroutes: 0,
-        outages: 0,
-    };
-    // Active path plus the standby it can fail over to.
-    let mut active: Option<StitchedPath> = None;
-    let mut standby: Option<StitchedPath> = None;
-    let mut planned_once = false;
-    schedule.replay(|state| {
-        let mut alive = brokers.clone();
-        alive.difference_with(state.failed_brokers());
-        alive.difference_with(state.failed_nodes());
-        if state.failed_nodes().contains(src) || state.failed_nodes().contains(dst) {
-            // An endpoint is down: nothing to route, nothing to replan.
-            out.outages += 1;
-            active = None;
-            standby = None;
-            return;
-        }
-        if active
-            .as_ref()
-            .is_some_and(|p| path_survives(&alive, state, &p.path))
-        {
-            out.connected_epochs += 1;
-            return;
-        }
-        // Primary hit: try the precomputed disjoint backup first.
-        if let Some(b) = standby.take() {
-            if path_survives(&alive, state, &b.path) {
-                out.failovers += 1;
-                active = Some(b);
-                out.connected_epochs += 1;
-                return;
-            }
-        }
-        // Both gone: replan over the degraded dominated edge set.
-        if planned_once {
-            out.reroutes += 1;
-            netgraph::counter!("chaos.reroutes", 1);
-        }
-        planned_once = true;
-        match plan_under(g, &alive, state, src, dst) {
-            Some((primary, backup)) => {
-                active = Some(primary);
-                standby = backup;
-                out.connected_epochs += 1;
-            }
-            None => {
-                active = None;
-                standby = None;
-                out.outages += 1;
-            }
-        }
-    });
-    out
-}
-
-/// Replay every pair and aggregate.
-pub fn replay_sessions(
-    g: &Graph,
-    brokers: &NodeSet,
-    schedule: &FaultSchedule,
-    pairs: &[(NodeId, NodeId)],
-) -> SessionStats {
-    let mut stats = SessionStats {
-        sessions: pairs.len(),
-        mean_availability: 0.0,
-        failovers: 0,
-        reroutes: 0,
-        unbroken: 0,
-    };
-    let mut avail_sum = 0.0;
-    for &(u, v) in pairs {
-        let r = replay_session(g, brokers, schedule, u, v);
-        avail_sum += r.availability();
-        stats.failovers += u64::from(r.failovers);
-        stats.reroutes += u64::from(r.reroutes);
-        if r.connected_epochs == r.epochs {
-            stats.unbroken += 1;
-        }
-    }
-    if !pairs.is_empty() {
-        stats.mean_availability = avail_sum / pairs.len() as f64;
-    }
-    stats
-}
-
-/// Replay one supervised session while the topology itself evolves.
-///
 /// Epoch `e` (for `e` in `0..schedule.horizon()`) runs on
 /// `graphs[min(e, graphs.len() - 1)]` with broker set
 /// `brokers[min(e, brokers.len() - 1)]` — the last entry extends to the
@@ -189,14 +86,16 @@ pub fn replay_sessions(
 /// the schedule plus every broker set must be sized at the *final*
 /// vertex count so fault masks stay in range on every epoch graph.
 ///
-/// On top of [`replay_session`]'s checks, a surviving path must keep all
-/// its hops present in the current epoch's graph, and endpoints born in
-/// a later epoch are outages until they exist.
+/// Per epoch, brokers that defected or whose vertex is down stop
+/// dominating edges; a surviving path must keep every vertex up, every
+/// hop uncut, dominated and present in the epoch's graph, and endpoints
+/// born in a later epoch are outages until they exist. The session
+/// plans lazily: the first epoch's plan is not counted as a reroute.
 ///
 /// # Panics
 ///
 /// Panics if `graphs` or `brokers` is empty.
-pub fn replay_session_evolving(
+pub fn replay_session(
     graphs: &[Graph],
     brokers: &[NodeSet],
     schedule: &FaultSchedule,
@@ -212,6 +111,7 @@ pub fn replay_session_evolving(
         reroutes: 0,
         outages: 0,
     };
+    // Active path plus the standby it can fail over to.
     let mut active: Option<StitchedPath> = None;
     let mut standby: Option<StitchedPath> = None;
     let mut planned_once = false;
@@ -225,6 +125,8 @@ pub fn replay_session_evolving(
         alive.difference_with(state.failed_nodes());
         let born = src.index() < g.node_count() && dst.index() < g.node_count();
         if !born || state.failed_nodes().contains(src) || state.failed_nodes().contains(dst) {
+            // An endpoint is missing or down: nothing to route, nothing
+            // to replan.
             out.outages += 1;
             active = None;
             standby = None;
@@ -232,28 +134,31 @@ pub fn replay_session_evolving(
         }
         if active
             .as_ref()
-            .is_some_and(|p| path_survives_on(g, &alive, state, &p.path))
+            .is_some_and(|p| path_survives(g, &alive, state, &p.path))
         {
             out.connected_epochs += 1;
             return;
         }
+        // Primary hit: try the precomputed disjoint backup first.
         if let Some(b) = standby.take() {
-            if path_survives_on(g, &alive, state, &b.path) {
+            if path_survives(g, &alive, state, &b.path) {
                 out.failovers += 1;
                 active = Some(b);
                 out.connected_epochs += 1;
                 return;
             }
         }
+        // Both gone: replan over the degraded dominated edge set.
         if planned_once {
             out.reroutes += 1;
             netgraph::counter!("chaos.reroutes", 1);
         }
         planned_once = true;
-        match plan_under(g, &alive, state, src, dst) {
-            Some((primary, backup)) => {
-                active = Some(primary);
-                standby = backup;
+        let view = FaultView::new(DominatedView::new(g, &alive), state);
+        match plan_on(view, &alive, src, dst) {
+            Some(plan) => {
+                active = Some(plan.primary);
+                standby = plan.backup;
                 out.connected_epochs += 1;
             }
             None => {
@@ -266,9 +171,8 @@ pub fn replay_session_evolving(
     out
 }
 
-/// [`replay_session_evolving`] over many pairs, aggregated like
-/// [`replay_sessions`].
-pub fn replay_sessions_evolving(
+/// Replay every pair with [`replay_session`] and aggregate.
+pub fn replay_sessions(
     graphs: &[Graph],
     brokers: &[NodeSet],
     schedule: &FaultSchedule,
@@ -283,7 +187,7 @@ pub fn replay_sessions_evolving(
     };
     let mut avail_sum = 0.0;
     for &(u, v) in pairs {
-        let r = replay_session_evolving(graphs, brokers, schedule, u, v);
+        let r = replay_session(graphs, brokers, schedule, u, v);
         avail_sum += r.availability();
         stats.failovers += u64::from(r.failovers);
         stats.reroutes += u64::from(r.reroutes);
@@ -297,46 +201,20 @@ pub fn replay_sessions_evolving(
     stats
 }
 
-/// [`path_survives`] plus the evolving-topology requirement: every hop's
-/// edge must still exist in this epoch's graph (a link the growth model
-/// withdrew kills the path exactly like a cut).
-fn path_survives_on(g: &Graph, alive: &NodeSet, state: &FaultState, path: &[NodeId]) -> bool {
-    path_survives(alive, state, path)
-        && path.iter().all(|v| v.index() < g.node_count())
-        && path.windows(2).all(|w| g.has_edge(w[0], w[1]))
-}
-
 /// Does `path` still work this epoch? Every vertex up, every hop's edge
-/// uncut, and every hop dominated by a surviving broker.
-fn path_survives(alive: &NodeSet, state: &FaultState, path: &[NodeId]) -> bool {
+/// present in the epoch's graph and uncut (a link the growth model
+/// withdrew kills the path exactly like a cut), and every hop dominated
+/// by a surviving broker.
+fn path_survives(g: &Graph, alive: &NodeSet, state: &FaultState, path: &[NodeId]) -> bool {
     if path.is_empty() || path.iter().any(|&v| state.failed_nodes().contains(v)) {
         return false;
     }
-    path.windows(2).all(|w| {
-        !state.failed_edges().contains(&undirected_key(w[0], w[1]))
-            && (alive.contains(w[0]) || alive.contains(w[1]))
-    })
-}
-
-/// Shortest dominating primary + edge-disjoint backup over the degraded
-/// topology: the [`crate::failover::failover_plan`] construction run on
-/// a [`FaultView`] over the surviving broker set.
-fn plan_under(
-    g: &Graph,
-    alive: &NodeSet,
-    state: &FaultState,
-    src: NodeId,
-    dst: NodeId,
-) -> Option<(StitchedPath, Option<StitchedPath>)> {
-    let view = FaultView::new(DominatedView::new(g, alive), state);
-    let primary = shortest_on(view, alive, src, dst)?;
-    let forbidden: BTreeSet<(u32, u32)> = primary
-        .path
-        .windows(2)
-        .map(|w| undirected_key(w[0], w[1]))
-        .collect();
-    let backup = shortest_on(MaskedView::without_edges(view, &forbidden), alive, src, dst);
-    Some((primary, backup))
+    path.iter().all(|v| v.index() < g.node_count())
+        && path.windows(2).all(|w| {
+            g.has_edge(w[0], w[1])
+                && !state.failed_edges().contains(&undirected_key(w[0], w[1]))
+                && (alive.contains(w[0]) || alive.contains(w[1]))
+        })
 }
 
 /// One planned broker-set transition of a recovery timeline.
@@ -388,37 +266,27 @@ pub fn plan_recovery(
     Ok(out)
 }
 
-/// Shortest path on an arbitrary view, stitched with broker positions.
-fn shortest_on<V: GraphView>(
-    view: V,
-    brokers: &NodeSet,
-    src: NodeId,
-    dst: NodeId,
-) -> Option<StitchedPath> {
-    if !view.contains_node(src) || !view.contains_node(dst) {
-        return None;
-    }
-    let path = with_arena(|arena| {
-        arena.run_to_target(&view, src, |v| v == dst)?;
-        arena.path_to(dst)
-    })?;
-    let broker_positions = path
-        .iter()
-        .enumerate()
-        .filter(|&(_, v)| brokers.contains(*v))
-        .map(|(i, _)| i)
-        .collect();
-    Some(StitchedPath {
-        path,
-        broker_positions,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netgraph::graph::from_edges;
     use netgraph::{FaultSchedule, Validate};
+
+    fn replay(
+        g: &Graph,
+        brokers: &NodeSet,
+        sched: &FaultSchedule,
+        src: NodeId,
+        dst: NodeId,
+    ) -> SessionReplay {
+        replay_session(
+            std::slice::from_ref(g),
+            std::slice::from_ref(brokers),
+            sched,
+            src,
+            dst,
+        )
+    }
 
     fn cycle4() -> Graph {
         from_edges(
@@ -432,7 +300,7 @@ mod tests {
         let g = cycle4();
         let mut sched = FaultSchedule::new(4);
         sched.set_horizon(5);
-        let r = replay_session(&g, &NodeSet::full(4), &sched, NodeId(0), NodeId(2));
+        let r = replay(&g, &NodeSet::full(4), &sched, NodeId(0), NodeId(2));
         assert_eq!(r.epochs, 5);
         assert_eq!(r.connected_epochs, 5);
         assert_eq!(r.failovers, 0);
@@ -450,7 +318,7 @@ mod tests {
         let mut sched = FaultSchedule::new(4);
         sched.fail_edge(1, NodeId(0), NodeId(1));
         sched.set_horizon(3);
-        let r = replay_session(&g, &NodeSet::full(4), &sched, NodeId(0), NodeId(2));
+        let r = replay(&g, &NodeSet::full(4), &sched, NodeId(0), NodeId(2));
         assert_eq!(r.connected_epochs, 3);
         assert_eq!(r.failovers, 1);
         assert_eq!(r.reroutes, 0);
@@ -466,7 +334,7 @@ mod tests {
         sched.fail_edge(1, NodeId(0), NodeId(3));
         sched.recover_edge(2, NodeId(0), NodeId(1));
         sched.set_horizon(3);
-        let r = replay_session(&g, &NodeSet::full(4), &sched, NodeId(0), NodeId(2));
+        let r = replay(&g, &NodeSet::full(4), &sched, NodeId(0), NodeId(2));
         assert_eq!(r.outages, 1);
         assert_eq!(r.connected_epochs, 2);
         assert!(r.reroutes >= 1);
@@ -482,7 +350,7 @@ mod tests {
         sched.fail_broker(1, NodeId(1));
         sched.recover_broker(2, NodeId(1));
         sched.set_horizon(3);
-        let r = replay_session(&g, &brokers, &sched, NodeId(0), NodeId(2));
+        let r = replay(&g, &brokers, &sched, NodeId(0), NodeId(2));
         assert_eq!(r.outages, 1);
         assert_eq!(r.connected_epochs, 2);
     }
@@ -493,27 +361,9 @@ mod tests {
         let mut sched = FaultSchedule::new(4);
         sched.fail_node(1, NodeId(2));
         sched.set_horizon(2);
-        let r = replay_session(&g, &NodeSet::full(4), &sched, NodeId(0), NodeId(2));
+        let r = replay(&g, &NodeSet::full(4), &sched, NodeId(0), NodeId(2));
         assert_eq!(r.connected_epochs, 1);
         assert_eq!(r.outages, 1);
-    }
-
-    #[test]
-    fn evolving_static_topology_matches_plain_replay() {
-        let g = cycle4();
-        let mut sched = FaultSchedule::new(4);
-        sched.fail_edge(1, NodeId(0), NodeId(1));
-        sched.set_horizon(3);
-        let brokers = NodeSet::full(4);
-        let plain = replay_session(&g, &brokers, &sched, NodeId(0), NodeId(2));
-        let evolving = replay_session_evolving(
-            std::slice::from_ref(&g),
-            std::slice::from_ref(&brokers),
-            &sched,
-            NodeId(0),
-            NodeId(2),
-        );
-        assert_eq!(plain, evolving);
     }
 
     #[test]
@@ -528,7 +378,7 @@ mod tests {
         let mut sched = FaultSchedule::new(4);
         sched.set_horizon(3);
         let brokers = NodeSet::full(4);
-        let r = replay_session_evolving(
+        let r = replay_session(
             &[g0, g1],
             std::slice::from_ref(&brokers),
             &sched,
@@ -555,7 +405,7 @@ mod tests {
         let mut sched = FaultSchedule::new(3);
         sched.set_horizon(3);
         let brokers = NodeSet::full(3);
-        let r = replay_session_evolving(
+        let r = replay_session(
             &[g0, g1],
             std::slice::from_ref(&brokers),
             &sched,
@@ -582,7 +432,7 @@ mod tests {
         sched.fail_edge(1, NodeId(0), NodeId(1));
         sched.set_horizon(3);
         let brokers = NodeSet::full(4);
-        let r = replay_session_evolving(
+        let r = replay_session(
             &graphs,
             std::slice::from_ref(&brokers),
             &sched,
@@ -593,24 +443,6 @@ mod tests {
         assert_eq!(r.reroutes, 1);
         assert_eq!(r.outages, 1);
         assert_eq!(r.connected_epochs, 2);
-    }
-
-    #[test]
-    fn evolving_aggregate_adds_up() {
-        let g = cycle4();
-        let mut sched = FaultSchedule::new(4);
-        sched.set_horizon(2);
-        let brokers = NodeSet::full(4);
-        let pairs = [(NodeId(0), NodeId(2)), (NodeId(1), NodeId(3))];
-        let stats = replay_sessions_evolving(
-            std::slice::from_ref(&g),
-            std::slice::from_ref(&brokers),
-            &sched,
-            &pairs,
-        );
-        assert_eq!(stats.sessions, 2);
-        assert_eq!(stats.unbroken, 2);
-        assert!((stats.mean_availability - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -651,7 +483,12 @@ mod tests {
         sched.fail_edge(1, NodeId(0), NodeId(1));
         sched.set_horizon(2);
         let pairs = [(NodeId(0), NodeId(2)), (NodeId(1), NodeId(3))];
-        let stats = replay_sessions(&g, &NodeSet::full(4), &sched, &pairs);
+        let stats = replay_sessions(
+            std::slice::from_ref(&g),
+            &[NodeSet::full(4)],
+            &sched,
+            &pairs,
+        );
         assert_eq!(stats.sessions, 2);
         assert!(stats.mean_availability > 0.99);
         assert_eq!(stats.unbroken, 2);

@@ -13,10 +13,7 @@ use crate::policy::PolicyGraph;
 use crate::valleyfree::{valley_free_reach, ReachOptions};
 use brokerset::connectivity::sample_std_error;
 use brokerset::SourceMode;
-use netgraph::{par, NodeId, NodeSet};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use netgraph::{par, NodeSet};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of a directional connectivity measurement.
@@ -66,16 +63,7 @@ pub fn directional_connectivity_threaded(
             std_error: Some(0.0),
         };
     }
-    let sources: Vec<NodeId> = match mode {
-        SourceMode::Exact => (0..n).map(NodeId::from).collect(),
-        SourceMode::Sampled { count, seed } => {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut all: Vec<NodeId> = (0..n).map(NodeId::from).collect();
-            all.shuffle(&mut rng);
-            all.truncate(count.max(1).min(n));
-            all
-        }
-    };
+    let sources = mode.sources(n);
     // Chunk-invariant per-source map: adaptive chunk sizing is safe here
     // (each item yields an independent f64; the ordered flatten makes the
     // output identical for every thread count). Pool jobs are 'static:
@@ -107,6 +95,8 @@ pub fn directional_connectivity_threaded(
 mod tests {
     use super::*;
     use brokerset::max_subgraph_greedy;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
     use topology::{InternetConfig, Scale};
 
     #[test]

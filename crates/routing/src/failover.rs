@@ -6,8 +6,10 @@
 //! B-dominating path pairs: primary = shortest dominating path,
 //! backup = shortest dominating path avoiding every edge of the primary.
 
-use crate::stitch::{stitch_path, StitchedPath};
-use netgraph::{with_arena, DominatedView, Graph, MaskedView, NodeId, NodeSet};
+use crate::stitch::{shortest_on, StitchedPath};
+use netgraph::{
+    undirected_key as edge_key, DominatedView, Graph, GraphView, MaskedView, NodeId, NodeSet,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -39,17 +41,32 @@ pub fn failover_plan(
     src: NodeId,
     dst: NodeId,
 ) -> Option<FailoverPlan> {
-    let primary = stitch_path(g, brokers, src, dst)?;
+    plan_on(DominatedView::new(g, brokers), brokers, src, dst)
+}
+
+/// The failover construction over any view: the shortest path, plus the
+/// shortest path that avoids every one of its edges. Session replay
+/// runs it on the degraded topology of each epoch.
+pub(crate) fn plan_on<V: GraphView + Copy>(
+    view: V,
+    brokers: &NodeSet,
+    src: NodeId,
+    dst: NodeId,
+) -> Option<FailoverPlan> {
+    let primary = shortest_on(view, brokers, src, dst)?;
     let forbidden: BTreeSet<(u32, u32)> = primary
         .path
         .windows(2)
         .map(|w| edge_key(w[0], w[1]))
         .collect();
-    let backup = dominated_path_avoiding(g, brokers, src, dst, &forbidden);
+    let backup = shortest_on(
+        MaskedView::without_edges(view, &forbidden),
+        brokers,
+        src,
+        dst,
+    );
     Some(FailoverPlan { primary, backup })
 }
-
-use netgraph::undirected_key as edge_key;
 
 /// Shortest B-dominating path from `src` to `dst` avoiding `forbidden`
 /// edges.
@@ -60,24 +77,8 @@ pub fn dominated_path_avoiding(
     dst: NodeId,
     forbidden: &BTreeSet<(u32, u32)>,
 ) -> Option<StitchedPath> {
-    if src == dst {
-        return stitch_path(g, brokers, src, dst);
-    }
     let view = MaskedView::without_edges(DominatedView::new(g, brokers), forbidden);
-    let path = with_arena(|arena| {
-        arena.run_to_target(view, src, |v| v == dst)?;
-        arena.path_to(dst)
-    })?;
-    let broker_positions = path
-        .iter()
-        .enumerate()
-        .filter(|&(_, v)| brokers.contains(*v))
-        .map(|(i, _)| i)
-        .collect();
-    Some(StitchedPath {
-        path,
-        broker_positions,
-    })
+    shortest_on(view, brokers, src, dst)
 }
 
 /// Fraction of sampled connected pairs with an edge-disjoint backup —

@@ -41,8 +41,7 @@ pub mod valleyfree;
 pub use bgp::{bgp_paths_dominated, bgp_routes, Route, RouteClass, RouteTable};
 pub use capacity::{admit_demands, AdmissionReport, CapacityModel, Demand};
 pub use chaos::{
-    plan_recovery, replay_session, replay_session_evolving, replay_sessions,
-    replay_sessions_evolving, RecoveryTransition, SessionReplay, SessionStats,
+    plan_recovery, replay_session, replay_sessions, RecoveryTransition, SessionReplay, SessionStats,
 };
 pub use directional::{
     directional_connectivity, directional_connectivity_threaded, DirectionalReport,

@@ -47,7 +47,7 @@
 
 use crate::stitch::{stitch_path, StitchedPath};
 use crate::validate::{AuditReport, Validate};
-use netgraph::{par, Graph, NodeId, NodeSet};
+use netgraph::{fnv1a_words, par, Graph, NodeId, NodeSet};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -284,19 +284,6 @@ fn ratio(seq: u64, mk: u64) -> f64 {
         // only rounding step, so the ratio is deterministic.
         seq as f64 / mk as f64
     }
-}
-
-/// FNV-1a over a stream of words — the repo's standard order-sensitive
-/// trace digest.
-fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// Does `set` dominate the hop `(u, v)`?
@@ -570,7 +557,7 @@ impl ReconfigPlan {
             words.push(u64::MAX - 1);
             words.extend(layer.iter().map(|&i| i as u64));
         }
-        fnv1a(words)
+        fnv1a_words(words)
     }
 
     /// Wrap this plan for certificate-grade auditing against `g`.
@@ -621,7 +608,7 @@ impl ReconfigPlan {
         ExecTrace {
             cuts_validated: self.layers.len() + 1,
             layers: records,
-            checksum: fnv1a(words),
+            checksum: fnv1a_words(words),
             makespan_units: makespan,
             sequential_units: seq,
             cut_audit,
@@ -1080,7 +1067,7 @@ fn step_code(s: &Step) -> u64 {
         Step::ActivateBroker(b) => u64::from(b.0) << 2,
         Step::DeactivateBroker(b) => (u64::from(b.0) << 2) | 1,
         Step::MigrateSession { session, from, to } => {
-            fnv1a([2, session as u64, u64::from(from.0), u64::from(to.0)])
+            fnv1a_words([2, session as u64, u64::from(from.0), u64::from(to.0)])
         }
     }
 }
@@ -1093,7 +1080,7 @@ fn apply_step(g: &Graph, sessions: &[PlannedSession], step: &Step) -> u64 {
         Step::ActivateBroker(b) | Step::DeactivateBroker(b) => {
             let mut words: Vec<u64> = vec![step_code(step)];
             words.extend(g.neighbors(b).iter().map(|y| u64::from(y.0)));
-            fnv1a(words)
+            fnv1a_words(words)
         }
         Step::MigrateSession { session, .. } => {
             let mut words: Vec<u64> = vec![step_code(step)];
@@ -1103,7 +1090,7 @@ fn apply_step(g: &Graph, sessions: &[PlannedSession], step: &Step) -> u64 {
                 }
                 words.extend(p.path.iter().map(|v| u64::from(v.0)));
             }
-            fnv1a(words)
+            fnv1a_words(words)
         }
     }
 }

@@ -6,7 +6,7 @@
 //! result carries enough metadata (which hops are brokers, the broker
 //! segments) for SLA accounting in the economics layer.
 
-use netgraph::{with_arena, DominatedView, Graph, NodeId, NodeSet};
+use netgraph::{with_arena, DominatedView, Graph, GraphView, NodeId, NodeSet};
 use serde::{Deserialize, Serialize};
 
 /// A concrete B-dominating path.
@@ -50,10 +50,22 @@ impl StitchedPath {
 /// Returns `None` when no dominating path exists. The endpoints need not
 /// be brokers (they are customers of the brokerage).
 pub fn stitch_path(g: &Graph, brokers: &NodeSet, src: NodeId, dst: NodeId) -> Option<StitchedPath> {
-    if src == dst {
-        return Some(mk(brokers, vec![src]));
+    shortest_on(DominatedView::new(g, brokers), brokers, src, dst)
+}
+
+/// Shortest `src → dst` path over `view`, with the positions of
+/// `brokers` on it: the early-exit BFS behind every hop-count path
+/// search in this crate. `None` when the view excludes an endpoint or
+/// `dst` is unreachable.
+pub(crate) fn shortest_on<V: GraphView>(
+    view: V,
+    brokers: &NodeSet,
+    src: NodeId,
+    dst: NodeId,
+) -> Option<StitchedPath> {
+    if !view.contains_node(dst) {
+        return None;
     }
-    let view = DominatedView::new(g, brokers);
     let path = with_arena(|arena| {
         arena.run_to_target(view, src, |v| v == dst)?;
         arena.path_to(dst)
@@ -157,14 +169,8 @@ pub fn stitch_answer_path(
         return (answer.hops() == 0).then(|| mk(brokers, vec![src]));
     }
     let view = DominatedView::new(g, brokers);
-    let to_broker = with_arena(|arena| {
-        arena.run_to_target(view, src, |v| v == answer.broker)?;
-        arena.path_to(answer.broker)
-    })?;
-    let from_broker = with_arena(|arena| {
-        arena.run_to_target(view, answer.broker, |v| v == dst)?;
-        arena.path_to(dst)
-    })?;
+    let to_broker = shortest_on(view, brokers, src, answer.broker)?.path;
+    let from_broker = shortest_on(view, brokers, answer.broker, dst)?.path;
     if to_broker.len() != answer.hops_s as usize + 1
         || from_broker.len() != answer.hops_t as usize + 1
     {

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example resilience_audit`
 
 use broker_net::prelude::*;
-use brokerset::{failure_trace, greedy_repair, FailureOrder};
+use brokerset::{chaos_trace, greedy_repair, FailureOrder};
 
 fn main() {
     let net = InternetConfig::scaled(Scale::Tiny).generate(2024);
@@ -25,17 +25,23 @@ fn main() {
     );
 
     // Stress test 1: coordinated defection of the founding members.
-    let targeted = failure_trace(g, &alliance, FailureOrder::TargetedBySelectionRank, 10);
     // Stress test 2: independent random failures.
-    let random = failure_trace(g, &alliance, FailureOrder::Random { seed: 7 }, 10);
+    let [targeted, random] = [
+        FailureOrder::TargetedBySelectionRank,
+        FailureOrder::Random { seed: 7 },
+    ]
+    .map(|order| {
+        let schedule = order.schedule(&alliance, 10);
+        chaos_trace(g, &alliance, &schedule, None, SourceMode::Exact)
+    });
 
     println!("{:<14} {:<14} {:<14}", "removed", "targeted", "random");
-    for i in 0..targeted.connectivity.len() {
+    for (t, r) in targeted.steps.iter().zip(&random.steps) {
         println!(
             "{:<14} {:<14} {:<14}",
-            format!("{:.0}%", 100.0 * targeted.removed_fraction[i]),
-            format!("{:.2}%", 100.0 * targeted.connectivity[i]),
-            format!("{:.2}%", 100.0 * random.connectivity[i]),
+            format!("{:.0}%", 100.0 * t.removed_fraction()),
+            format!("{:.2}%", 100.0 * t.saturated),
+            format!("{:.2}%", 100.0 * r.saturated),
         );
     }
 
