@@ -1,11 +1,10 @@
 //! Dependency-free Rust token lexer.
 //!
-//! Supersedes the blank-out [`crate::scanner`] as the substrate for the
-//! lint rules: one pass produces a real token stream (identifiers,
-//! lifetimes, numeric/string/char literals, punctuation with the common
-//! multi-character operators fused) *and* the same per-line code/comment
-//! channels the scanner emitted, so the two stay differentially testable
-//! against each other (see the `lexer_scanner_agree` proptest).
+//! The substrate for the lint rules: one pass produces a real token
+//! stream (identifiers, lifetimes, numeric/string/char literals,
+//! punctuation with the common multi-character operators fused) *and*
+//! per-line code/comment channels, which `tests/lexer_diff.rs` checks
+//! over generated compositions of lexically tricky snippets.
 //!
 //! This is still deliberately not a full parser — no macro expansion, no
 //! precedence — but tokens are enough to make rules like "`.unwrap ()`
@@ -66,9 +65,8 @@ impl fmt::Display for Tok {
     }
 }
 
-/// Per-line code/comment channels, convention-compatible with
-/// [`crate::scanner::ScannedLine`] (string interiors dropped, comments
-/// blanked to a single space in `code` and captured in `comment`).
+/// Per-line code/comment channels: literal interiors dropped, comments
+/// blanked to a single space in `code` and captured in `comment`.
 #[derive(Debug, Clone, Default)]
 pub struct LexedLine {
     /// Source with comments and literal interiors blanked.
@@ -82,7 +80,7 @@ pub struct LexedLine {
 pub struct LexedFile {
     /// The token stream, in source order.
     pub toks: Vec<Tok>,
-    /// Scanner-compatible per-line blanking channels.
+    /// Per-line blanking channels.
     pub lines: Vec<LexedLine>,
 }
 
@@ -100,7 +98,7 @@ const MULTI_PUNCT: [&str; 16] = [
     "..=", "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/=", "%=", "..",
 ];
 
-/// Lex `text` into tokens plus scanner-compatible blanked lines.
+/// Lex `text` into tokens plus per-line blanked channels.
 #[allow(clippy::too_many_lines)]
 pub fn lex(text: &str) -> LexedFile {
     let mut out = LexedFile::default();
@@ -387,7 +385,7 @@ fn is_raw_string_start(chars: &[char], i: usize) -> bool {
 }
 
 /// Length of a char literal starting at `i` (which holds `'`), or `None`
-/// if this is a lifetime. Mirrors the scanner's heuristic exactly.
+/// if this is a lifetime.
 fn char_literal_len(chars: &[char], i: usize) -> Option<usize> {
     match chars.get(i + 1)? {
         '\\' => {

@@ -33,16 +33,15 @@
 //! type inference — rules are written so the approximations over-report
 //! on patterns we ban anyway rather than under-report on ones we allow.
 //! Reports render as text, stable JSON (`--json`), or SARIF 2.1.0
-//! (`--sarif PATH`), checked by the dependency-free [`json`] parser.
+//! (`--sarif PATH`); `sarif-check` parses SARIF with the workspace
+//! `serde_json`.
 #![forbid(unsafe_code)]
 
 pub mod allowlist;
 pub mod itemtree;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 pub mod sarif;
-pub mod scanner;
 pub mod symbols;
 
 use std::fmt;

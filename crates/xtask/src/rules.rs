@@ -443,8 +443,8 @@ pub fn analyze_file(path: &str, text: &str) -> FileAnalysis {
     let toks = &lexed.toks;
 
     let mut out: Vec<Violation> = Vec::new();
-    // One violation per (rule, line), matching the line-based scanner's
-    // granularity (and keeping allowlist entries 1:1 with report lines).
+    // One violation per (rule, line), keeping allowlist entries 1:1 with
+    // report lines.
     let mut seen: BTreeSet<(&'static str, u32)> = BTreeSet::new();
     macro_rules! push {
         ($rule:expr, $line:expr) => {{
@@ -1030,7 +1030,7 @@ mod tests {
 
     #[test]
     fn r1_sees_through_whitespace_tricks() {
-        // The line scanner missed `.unwrap ()`; the token pass does not.
+        // Whitespace inside `.unwrap ()` does not hide the call.
         let src = "pub fn f(x: Option<u32>) -> u32 { x.unwrap () }";
         let v = check_file("crates/netgraph/src/x.rs", src);
         assert!(v.iter().any(|v| v.rule == Rule::NoUnwrap));

@@ -9,6 +9,7 @@
 
 use crate::rules::Rule;
 use crate::{json_escape, LintReport};
+use serde_json::Value;
 
 /// Render `report` as a SARIF 2.1.0 log with a single run.
 pub fn to_sarif(report: &LintReport) -> String {
@@ -62,13 +63,13 @@ pub fn to_sarif(report: &LintReport) -> String {
 ///
 /// A human-readable description of the first problem found.
 pub fn check_sarif(text: &str) -> Result<usize, String> {
-    let doc = crate::json::parse(text)?;
-    if doc.get("version").and_then(|v| v.as_str()) != Some("2.1.0") {
+    let doc: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    if doc.get("version").and_then(Value::as_str) != Some("2.1.0") {
         return Err("version is not \"2.1.0\"".into());
     }
     let runs = doc
         .get("runs")
-        .and_then(|r| r.as_arr())
+        .and_then(Value::as_array)
         .ok_or("missing runs array")?;
     if runs.len() != 1 {
         return Err(format!("expected exactly 1 run, found {}", runs.len()));
@@ -83,22 +84,22 @@ pub fn check_sarif(text: &str) -> Result<usize, String> {
     }
     let rule_ids: Vec<&str> = driver
         .get("rules")
-        .and_then(|r| r.as_arr())
+        .and_then(Value::as_array)
         .map(|rules| {
             rules
                 .iter()
-                .filter_map(|r| r.get("id").and_then(|i| i.as_str()))
+                .filter_map(|r| r.get("id").and_then(Value::as_str))
                 .collect()
         })
         .unwrap_or_default();
     let results = run
         .get("results")
-        .and_then(|r| r.as_arr())
+        .and_then(Value::as_array)
         .ok_or("missing results array")?;
     for (i, res) in results.iter().enumerate() {
         let rule_id = res
             .get("ruleId")
-            .and_then(|r| r.as_str())
+            .and_then(Value::as_str)
             .ok_or_else(|| format!("result {i}: missing ruleId"))?;
         if !rule_ids.contains(&rule_id) {
             return Err(format!(
@@ -107,21 +108,21 @@ pub fn check_sarif(text: &str) -> Result<usize, String> {
         }
         res.get("message")
             .and_then(|m| m.get("text"))
-            .and_then(|t| t.as_str())
+            .and_then(Value::as_str)
             .ok_or_else(|| format!("result {i}: missing message.text"))?;
         let loc = res
             .get("locations")
-            .and_then(|l| l.idx(0))
+            .and_then(|l| l.get(0))
             .and_then(|l| l.get("physicalLocation"))
             .ok_or_else(|| format!("result {i}: missing physicalLocation"))?;
         loc.get("artifactLocation")
             .and_then(|a| a.get("uri"))
-            .and_then(|u| u.as_str())
+            .and_then(Value::as_str)
             .ok_or_else(|| format!("result {i}: missing artifactLocation.uri"))?;
         let line = loc
             .get("region")
             .and_then(|r| r.get("startLine"))
-            .and_then(|l| l.as_num())
+            .and_then(Value::as_f64)
             .ok_or_else(|| format!("result {i}: missing region.startLine"))?;
         if line < 1.0 {
             return Err(format!("result {i}: startLine {line} < 1"));
@@ -175,25 +176,22 @@ mod tests {
     #[test]
     fn results_carry_locations_and_declared_rule_ids() {
         let sarif = to_sarif(&sample_report());
-        let doc = crate::json::parse(&sarif).expect("json");
+        let doc: Value = serde_json::from_str(&sarif).expect("json");
         let results = doc
             .get("runs")
-            .and_then(|r| r.idx(0))
+            .and_then(|r| r.get(0))
             .and_then(|r| r.get("results"))
-            .and_then(|r| r.as_arr())
+            .and_then(Value::as_array)
             .expect("results");
-        assert_eq!(
-            results[0].get("ruleId").and_then(|r| r.as_str()),
-            Some("R1")
-        );
+        assert_eq!(results[0].get("ruleId").and_then(Value::as_str), Some("R1"));
         assert_eq!(
             results[1]
                 .get("locations")
-                .and_then(|l| l.idx(0))
+                .and_then(|l| l.get(0))
                 .and_then(|l| l.get("physicalLocation"))
                 .and_then(|p| p.get("region"))
                 .and_then(|r| r.get("startLine"))
-                .and_then(|s| s.as_num()),
+                .and_then(Value::as_f64),
             Some(12.0)
         );
     }
@@ -204,5 +202,27 @@ mod tests {
         assert!(check_sarif("{\"version\": \"2.0.0\", \"runs\": []}").is_err());
         let sarif = to_sarif(&sample_report()).replace("\"ruleId\": \"R1\"", "\"ruleId\": \"R99\"");
         assert!(check_sarif(&sarif).is_err(), "undeclared ruleId");
+    }
+
+    #[test]
+    fn check_rejects_malformed_json() {
+        // Each malformed fragment sits in an otherwise valid log, so the
+        // rejection comes from the JSON syntax alone.
+        let good = to_sarif(&sample_report());
+        let with_probe = |frag: &str| good.replacen('{', &format!("{{\"probe\": {frag},"), 1);
+        assert_eq!(check_sarif(&with_probe("[1, 2]")), Ok(2));
+        for bad in [
+            "{",
+            "[1, 2,]",
+            "\"unterminated",
+            "[01abc]",
+            "\"raw \u{1} control\"",
+        ] {
+            assert!(check_sarif(&with_probe(bad)).is_err(), "accepted {bad:?}");
+        }
+        assert!(
+            check_sarif(&format!("{good} x")).is_err(),
+            "trailing garbage"
+        );
     }
 }
