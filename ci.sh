@@ -53,9 +53,13 @@ if grep -E "^warning" "$build_log" >/dev/null; then
 fi
 rm -f "$build_log"
 
-# Determinism gate: the parallel executors must be bit-identical to their
-# sequential counterparts at every thread count. Run explicitly (they are
-# also part of the workspace suite) so a violation is named, not buried.
+# Determinism gate: every parallel entry point (netgraph's metrics and
+# msbfs batching; brokerset's l-hop curves, chaos and failure traces,
+# index builds and invalidation, plan execution) must give identical
+# bits at every thread count tested (1, 2, 4, 7 and auto), and the l-hop
+# curve, index and plan also on a degree-permuted CSR layout. Run
+# explicitly (they are also part of the workspace suite) so a violation
+# is named, not buried.
 run cargo test --offline -q -p netgraph --test determinism
 run cargo test --offline -q -p brokerset --test determinism
 
@@ -111,6 +115,12 @@ run cargo test --offline -q -p economics --test axioms
 run cargo test --offline -q -p bench --test bins golden
 
 run cargo test --offline -q --workspace
+
+# Examples: each runs once end to end through the public API; no test
+# target executes them.
+for example in examples/*.rs; do
+    run cargo run --offline -q --release --example "$(basename "$example" .rs)"
+done
 
 # Perf smoke gate: the quarter-scale (13k-node) engine bench.
 # engine_bench hard-asserts thread-count / permuted-layout bit-identity
