@@ -55,9 +55,9 @@ rm -f "$build_log"
 
 # Determinism gate: every parallel entry point (netgraph's metrics and
 # msbfs batching; brokerset's l-hop curves, chaos and failure traces,
-# index builds and invalidation, plan execution) must give identical
-# bits at every thread count tested (1, 2, 4, 7 and auto), and the l-hop
-# curve, index and plan also on a degree-permuted CSR layout. Run
+# index builds and invalidation) must give identical bits at every
+# thread count tested (1, 2, 4, 7 and auto), and the l-hop curve, index
+# and plan also on a degree-permuted CSR layout. Run
 # explicitly (they are also part of the workspace suite) so a violation
 # is named, not buried.
 run cargo test --offline -q -p netgraph --test determinism
@@ -99,10 +99,9 @@ run cargo test --offline -q -p broker-net --test proto_server
 
 # Planner gate: every reconfiguration plan must be certificate-clean —
 # acyclic, step set equal to the config diff, and every topological cut
-# state Validate-clean — with execution traces bit-identical across
-# thread counts (differential proptests). The ext_plan golden (DAG
-# shape + cross-thread checksums on the recorded epoch stream) rides in
-# the `bins golden` line below.
+# state Validate-clean (differential proptests). The ext_plan golden
+# (DAG shape + trace checksum on the recorded epoch stream) rides in the
+# `bins golden` line below.
 run cargo test --offline -q -p routing --test plan_props
 
 # Observability gates: the obs contract suite (bucket math,

@@ -23,8 +23,8 @@
 //! read doubles as the readiness signal (see
 //! [`broker_net::proto::Conn::handshake`]), so no caller ever needs a
 //! fixed startup delay. Connections are served one thread each;
-//! batch frames inside a connection fan out on the persistent
-//! `netgraph::par` worker pool at `--threads N`. A `SHUTDOWN` frame
+//! batch frames of at least 1,024 entries fan out on `netgraph::par`
+//! at `--threads N`. A `SHUTDOWN` frame
 //! from any client stops the accept loop and exits cleanly after
 //! printing the serving counters.
 

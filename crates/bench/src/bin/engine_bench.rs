@@ -27,20 +27,20 @@
 //!   `DominatedView`, cumulative histogram per source;
 //! - **msbfs** — `brokerset::lhop_curve_parallel`, which batches 64
 //!   sources into the bit lanes of a `u64` per adjacency pass and fans
-//!   whole lane batches out on the persistent worker pool.
+//!   whole lane batches out on `netgraph::par`.
 //!
 //! At tiny scale the comparison is exact (every vertex a source); at
 //! quarter/full it uses a fixed sampled source list so the deliberately
 //! slow per-source baseline stays affordable — the *shipping* exact
 //! curve is still timed separately (`lhop_exact_*`).
 //!
-//! Both paths run at each thread count in {1, 2, 4, 7, 0 = all cores},
-//! one JSON row per count with the **resolved** worker count
-//! (`threads_resolved`), and `lhop_parallel_speedup` is reported against
-//! that resolved count — a 1.0x on a 1-core runner is the hardware's
-//! fault, not a regression. The threaded rows (`lhop_speedup_at_7`,
-//! `lhop_exact_allcores_s`, `hardware_threads`) are recorded, never
-//! asserted.
+//! Both paths run at each thread count in {1, 2, 0 = all cores}, one
+//! JSON row per count with the **resolved** worker count
+//! (`threads_resolved`). Rows stop at two threads plus the host's own
+//! count: a row that asks for more workers than the host has times
+//! oversubscription, not the executor. The exact curve is timed at one
+//! thread and at `--threads` (`lhop_parallel_speedup`); threaded
+//! timings are recorded, never asserted.
 //!
 //! ## Acceptance floor
 //!
@@ -95,10 +95,8 @@ fn per_source_curve(
     sources: &[NodeId],
     threads: usize,
 ) -> Vec<u64> {
-    let g_owned = g.clone();
-    let brokers_owned = brokers.clone();
-    let parts = par::map_chunks(sources, par::DEFAULT_CHUNK, threads, move |chunk| {
-        let view = DominatedView::new(&g_owned, &brokers_owned);
+    let parts = par::map_chunks(sources, par::DEFAULT_CHUNK, threads, |chunk| {
+        let view = DominatedView::new(g, brokers);
         let mut cum = vec![0u64; max_l];
         with_arena(|arena| {
             for &s in chunk {
@@ -179,19 +177,15 @@ fn main() {
     });
 
     // Exact l-hop curve on the shipping (msbfs) path: the executor's
-    // headline fan-out. Timed sequential, at the requested thread count,
-    // and at 7 threads (the quarter-scale acceptance point).
+    // headline fan-out. Timed sequential and at the requested thread
+    // count.
     let seq = median_secs(reps, || {
         brokerset::lhop_curve_parallel(g, sel.brokers(), MAX_L, SourceMode::Exact, 1)
     });
     let par_s = median_secs(reps, || {
         brokerset::lhop_curve_parallel(g, sel.brokers(), MAX_L, SourceMode::Exact, threads)
     });
-    let par7_s = median_secs(reps, || {
-        brokerset::lhop_curve_parallel(g, sel.brokers(), MAX_L, SourceMode::Exact, 7)
-    });
     let lhop_speedup = seq / par_s;
-    let speedup_at_7 = seq / par7_s;
 
     // msbfs vs per-source over identical sources: exact at tiny, a fixed
     // sampled list at quarter/full (the per-source baseline exists to be
@@ -291,7 +285,7 @@ fn main() {
         "  l-hop, msbfs vs per-source (max_l = {MAX_L}, {} sources):",
         cmp_sources.len()
     );
-    for &t in &[1usize, 2, 4, 7, 0] {
+    for &t in &[1usize, 2, 0] {
         let resolved = par::resolve_threads(t);
         let per_source = median_secs(reps, || {
             per_source_curve(g, sel.brokers(), MAX_L, &cmp_sources, t)
@@ -317,10 +311,6 @@ fn main() {
         .map(|r| r["msbfs_speedup"].as_f64().unwrap_or(0.0))
         .unwrap_or(0.0);
 
-    let allcores_s = median_secs(reps, || {
-        brokerset::lhop_curve_parallel(g, sel.brokers(), MAX_L, SourceMode::Exact, 0)
-    });
-
     // The single-thread acceptance floor, enforced on every host.
     let mut floors = Vec::new();
     if matches!(rc.scale, topology::Scale::Full) {
@@ -338,7 +328,7 @@ fn main() {
     let bfs_speedup = fresh / pooled;
     println!("  bfs {sweep}-source sweep   pooled {pooled:.4}s  fresh {fresh:.4}s  speedup {bfs_speedup:.2}x");
     println!(
-        "  exact l-hop curve     seq {seq:.4}s  par({threads}) {par_s:.4}s  speedup {lhop_speedup:.2}x  at-7 {speedup_at_7:.2}x"
+        "  exact l-hop curve     seq {seq:.4}s  par({threads}) {par_s:.4}s  speedup {lhop_speedup:.2}x"
     );
 
     let entry = serde_json::json!({
@@ -356,10 +346,7 @@ fn main() {
         "bfs_pooled_speedup": bfs_speedup,
         "lhop_exact_seq_s": seq,
         "lhop_exact_par_s": par_s,
-        "lhop_exact_par7_s": par7_s,
-        "lhop_exact_allcores_s": allcores_s,
         "lhop_parallel_speedup": lhop_speedup,
-        "lhop_speedup_at_7": speedup_at_7,
         "hardware_threads": hw,
         "floors": floors,
         "compare_sources": cmp_sources.len(),

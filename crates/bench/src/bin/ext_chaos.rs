@@ -163,7 +163,7 @@ fn main() {
     // Recovery timeline as *planned* transitions: every broker-set
     // change (defection wave, recovery wave) becomes a dependency-DAG
     // plan whose certificate and per-cut invariants must hold, executed
-    // in antichains on the worker pool.
+    // layer by layer.
     let transitions =
         plan_recovery(g, sel.brokers(), &schedule, &pairs).expect("recovery plans build");
     let mut plan_steps = 0usize;
@@ -175,7 +175,7 @@ fn main() {
     for t in &transitions {
         let cert = t.plan.certificate(g).audit();
         assert!(cert.is_ok(), "plan certificate (epoch {}): {cert}", t.epoch);
-        let trace = t.plan.execute(g, rc.threads);
+        let trace = t.plan.execute(g);
         assert!(
             trace.cut_audit.is_ok(),
             "unsafe cut (epoch {}): {}",

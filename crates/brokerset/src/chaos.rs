@@ -167,18 +167,14 @@ pub fn chaos_trace_threaded(
         Vec::new()
     };
     let epochs: Vec<u32> = (0..schedule.horizon()).collect();
-    // Pool jobs are 'static; epochs are few and heavy, so map_auto's
-    // adaptive chunking (floor 1) fans them out instead of the old
-    // fixed chunk-of-1 map. Each step is a pure function of its epoch,
-    // so chunk boundaries cannot change the trace.
-    let g_owned = g.clone();
-    let sel_owned = sel.clone();
-    let schedule_owned = schedule.clone();
-    let steps: Vec<ChaosStep> = par::map_auto(&epochs, threads, move |&epoch| {
-        let state = schedule_owned.state_at(epoch);
+    // Epochs are few and heavy, so map_auto's adaptive chunking (floor
+    // 1) fans them out. Each step is a pure function of its epoch, so
+    // chunk boundaries cannot change the trace.
+    let steps: Vec<ChaosStep> = par::map_auto(&epochs, threads, |&epoch| {
+        let state = schedule.state_at(epoch);
         netgraph::counter!("chaos.epochs", 1);
         netgraph::counter!("chaos.masked_nodes", state.failed_nodes().len() as u64);
-        eval_epoch(&g_owned, &sel_owned, &state, max_l, &sources_all)
+        eval_epoch(g, sel, &state, max_l, &sources_all)
     });
     ChaosTrace { steps, max_l }
 }

@@ -50,15 +50,11 @@ pub fn betweenness_threaded<R: Rng>(
     };
     let scale = n as f64 / seeds.len() as f64;
 
-    // Pool jobs are 'static: the closure owns one CSR clone, shared by
-    // every chunk it processes on that worker.
-    let g_owned = g.clone();
     let mut centrality = par::map_reduce(
         &seeds,
         par::DEFAULT_CHUNK,
         threads,
-        move |chunk| {
-            let g = &g_owned;
+        |chunk| {
             let mut centrality = vec![0.0f64; n];
             let mut sigma = vec![0.0f64; n];
             let mut delta = vec![0.0f64; n];
@@ -254,14 +250,11 @@ pub fn closeness_threaded<R: Rng>(
         }
     };
     let scale = n as f64 / targets.len() as f64;
-    // Pool jobs are 'static: the closure owns one CSR clone.
-    let g_owned = g.clone();
     let (dist_sum, reach_cnt) = par::map_reduce(
         &targets,
         par::DEFAULT_CHUNK,
         threads,
-        move |chunk| {
-            let g = &g_owned;
+        |chunk| {
             let mut dist_sum = vec![0.0f64; n];
             let mut reach_cnt = vec![0u32; n];
             // Each chunk is at most one 64-lane msbfs batch (DEFAULT_CHUNK =

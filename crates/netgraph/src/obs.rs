@@ -489,7 +489,7 @@ impl Snapshot {
         format!(
             "arena runs {} (pool hit {}) | msbfs runs {} (pool hit {}) levels {} | \
              push/pull expansions {}/{} | valley-free expansions {} | \
-             par chunks {} steals {} worker reuse {}",
+             par chunks {}",
             c("arena.runs"),
             rate("arena.pool.acquire", "arena.pool.fresh"),
             c("msbfs.runs"),
@@ -499,8 +499,6 @@ impl Snapshot {
             c("msbfs.pull_expansions"),
             c("valleyfree.state_expansions"),
             c("par.chunks"),
-            c("par.steal"),
-            rate("par.pool_reuse", "par.pool.spawn"),
         )
     }
 }
@@ -602,7 +600,7 @@ mod tests {
         let d = s.digest();
         assert!(d.contains("(pool hit 75.0%)"), "{d}");
         assert!(d.contains("push/pull expansions 7/2"), "{d}");
-        assert!(d.contains("worker reuse n/a"), "{d}");
+        assert!(d.contains("msbfs runs 0 (pool hit n/a)"), "{d}");
     }
 
     #[test]

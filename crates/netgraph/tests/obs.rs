@@ -120,10 +120,8 @@ fn snapshot_counters_are_thread_count_invariant() {
 
     let run = |threads: usize| {
         obs::reset();
-        // Pool jobs are 'static: the closure owns its CSR clone.
-        let g_owned = g.clone();
-        let totals = par::map_chunks(&sources, msbfs::LANES, threads, move |batch| {
-            msbfs::with_msbfs(|arena| arena.run(FullView::new(&g_owned), batch, u32::MAX, |_| {}))
+        let totals = par::map_chunks(&sources, msbfs::LANES, threads, |batch| {
+            msbfs::with_msbfs(|arena| arena.run(FullView::new(&g), batch, u32::MAX, |_| {}))
         });
         let total: u64 = totals.iter().sum();
         assert_eq!(total, (n * n) as u64, "every lane reaches every vertex");

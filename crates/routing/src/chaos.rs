@@ -464,7 +464,7 @@ mod tests {
         for t in &transitions {
             let rep = t.plan.certificate(&g).audit();
             assert!(rep.is_ok(), "epoch {}: {rep}", t.epoch);
-            let trace = t.plan.execute(&g, 2);
+            let trace = t.plan.execute(&g);
             assert!(trace.cut_audit.is_ok(), "{}", trace.cut_audit);
         }
         // Node/edge faults alone plan nothing.

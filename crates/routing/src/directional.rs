@@ -66,16 +66,13 @@ pub fn directional_connectivity_threaded(
     let sources = mode.sources(n);
     // Chunk-invariant per-source map: adaptive chunk sizing is safe here
     // (each item yields an independent f64; the ordered flatten makes the
-    // output identical for every thread count). Pool jobs are 'static:
-    // the closure owns one policy-graph (and broker-set) clone.
-    let pg_owned = pg.clone();
-    let brokers_owned: Option<NodeSet> = brokers.cloned();
-    let fractions: Vec<f64> = par::map_auto(&sources, threads, move |&s| {
+    // output identical for every thread count).
+    let fractions: Vec<f64> = par::map_auto(&sources, threads, |&s| {
         let reach = valley_free_reach(
-            &pg_owned,
+            pg,
             s,
             ReachOptions {
-                brokers: brokers_owned.as_ref(),
+                brokers,
                 alliance: None,
                 max_hops: None,
             },

@@ -22,11 +22,10 @@
 //! 3. **Certify** the DAG: [`PlanCertificate`] re-derives acyclicity,
 //!    step-set-equals-config-diff, the order-safety conditions and every
 //!    canonical topological cut state through the [`Validate`] machinery.
-//! 4. **Execute** antichains (Kahn layers) in parallel on the persistent
-//!    [`netgraph::par`] pool via `run_layers`: deterministic step order,
-//!    bit-identical trace for any thread count, and a *modeled* makespan
-//!    (critical-path cost units) against the sequential cost total — the
-//!    planner's speedup claim is deterministic, never wall-clock.
+//! 4. **Execute** antichains (Kahn layers) in order: deterministic step
+//!    order, and a *modeled* makespan (critical-path cost units) against
+//!    the sequential cost total — the planner's speedup claim is
+//!    deterministic, never wall-clock.
 //!
 //! The safety argument, per constraint:
 //!
@@ -47,11 +46,10 @@
 
 use crate::stitch::{stitch_path, StitchedPath};
 use crate::validate::{AuditReport, Validate};
-use netgraph::{fnv1a_words, par, Graph, NodeId, NodeSet};
+use netgraph::{fnv1a_words, Graph, NodeId, NodeSet};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
 
 /// One atomic reconfiguration action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -240,7 +238,7 @@ pub struct PlanSummary {
 }
 
 /// Record of one executed step; the trace is the concatenation in
-/// (layer, canonical step order) — bit-identical for every thread count.
+/// (layer, canonical step order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StepRecord {
     /// Step index into [`ReconfigPlan::steps`].
@@ -252,7 +250,7 @@ pub struct StepRecord {
     pub check: u64,
 }
 
-/// Result of executing a plan layer by layer on the worker pool.
+/// Result of executing a plan layer by layer.
 #[derive(Debug, Clone)]
 pub struct ExecTrace {
     /// Per-layer step records, in canonical order.
@@ -473,7 +471,7 @@ impl ReconfigPlan {
     /// edges whose domination changes), migrations pay the new path's
     /// hops (the state to install), everyone pays 1 for the control
     /// action itself.
-    pub fn step_cost(&self, g: &Graph, step: &Step) -> u64 {
+    fn step_cost(&self, g: &Graph, step: &Step) -> u64 {
         match *step {
             Step::ActivateBroker(b) | Step::DeactivateBroker(b) => 1 + g.degree(b) as u64,
             Step::MigrateSession { session, .. } => {
@@ -488,7 +486,7 @@ impl ReconfigPlan {
 
     /// `(sequential_units, makespan_units)`: total step cost vs the
     /// layered critical path (sum over layers of the costliest step).
-    pub fn makespan_model(&self, g: &Graph) -> (u64, u64) {
+    fn makespan_model(&self, g: &Graph) -> (u64, u64) {
         let mut seq = 0u64;
         let mut makespan = 0u64;
         for layer in &self.layers {
@@ -541,8 +539,8 @@ impl ReconfigPlan {
     }
 
     /// Order-independent digest of the constructed plan (steps, deps,
-    /// layers): the determinism tests pin this across CSR layouts and
-    /// thread counts.
+    /// layers): the determinism tests pin this across rebuilds and CSR
+    /// layouts.
     pub fn construction_checksum(&self) -> u64 {
         let mut words: Vec<u64> = Vec::new();
         for (i, s) in self.steps.iter().enumerate() {
@@ -565,36 +563,31 @@ impl ReconfigPlan {
         PlanCertificate::new(self, g)
     }
 
-    /// Execute the plan's antichains in parallel on the persistent
-    /// worker pool.
+    /// Execute the plan's antichains (Kahn layers) in order.
     ///
-    /// Each layer fans out over [`par::run_layers`] (full barrier
-    /// between layers); each step re-derives its effect — broker flips
-    /// digest their dominated neighborhood, migrations re-verify every
-    /// hop of the installed path — into a [`StepRecord`]. After the
-    /// parallel run the canonical cut walk validates every intermediate
-    /// state; the result lands in [`ExecTrace::cut_audit`].
-    ///
-    /// The trace (records and checksum) is bit-identical for every
-    /// `threads` value.
-    pub fn execute(&self, g: &Graph, threads: usize) -> ExecTrace {
-        let layer_items: Vec<Vec<u32>> = self
+    /// Each step re-derives its effect — broker flips digest their
+    /// dominated neighborhood, migrations re-verify every hop of the
+    /// installed path — into a [`StepRecord`]. After the run the
+    /// canonical cut walk validates every intermediate state; the result
+    /// lands in [`ExecTrace::cut_audit`].
+    pub fn execute(&self, g: &Graph) -> ExecTrace {
+        let records: Vec<Vec<StepRecord>> = self
             .layers
             .iter()
-            .map(|l| l.iter().map(|&i| i as u32).collect())
+            .map(|layer| {
+                layer
+                    .iter()
+                    .map(|&si| {
+                        let step = &self.steps[si];
+                        StepRecord {
+                            step: si as u32,
+                            cost: self.step_cost(g, step),
+                            check: apply_step(g, &self.sessions, step),
+                        }
+                    })
+                    .collect()
+            })
             .collect();
-        let shared_g = Arc::new(g.clone());
-        let shared = Arc::new(self.clone());
-        let job_g = Arc::clone(&shared_g);
-        let job_plan = Arc::clone(&shared);
-        let records = par::run_layers(&layer_items, threads, move |&si| {
-            let step = &job_plan.steps[si as usize];
-            StepRecord {
-                step: si,
-                cost: job_plan.step_cost(&job_g, step),
-                check: apply_step(&job_g, &job_plan.sessions, step),
-            }
-        });
         let (seq, makespan) = self.makespan_model(g);
         let mut words: Vec<u64> = Vec::new();
         for layer in &records {
@@ -623,7 +616,7 @@ impl ReconfigPlan {
     ///   covered by the active set;
     /// - every live session's active path is still dominated;
     /// - the final active set equals the target exactly.
-    pub fn walk_cuts(&self, g: &Graph) -> AuditReport {
+    fn walk_cuts(&self, g: &Graph) -> AuditReport {
         let mut rep = AuditReport::new("routing::ReconfigPlan::cuts");
         let n = self.n;
         if g.node_count() != n {
@@ -946,7 +939,7 @@ impl Validate for PlanCertificate<'_> {
     /// 4. the order-safety conditions hold, so *every* topological
     ///    order is safe;
     /// 5. every canonical cut state passes the coverage + session
-    ///    invariants ([`ReconfigPlan::walk_cuts`]).
+    ///    invariants (`ReconfigPlan::walk_cuts`).
     fn audit(&self) -> AuditReport {
         let mut rep = AuditReport::new("routing::PlanCertificate");
         rep.absorb(self.plan.audit());
@@ -1311,7 +1304,7 @@ mod tests {
         assert_eq!(plan.depth(), 0);
         let rep = plan.certificate(&g).audit();
         assert!(rep.is_ok(), "{rep}");
-        let trace = plan.execute(&g, 2);
+        let trace = plan.execute(&g);
         assert!(trace.cut_audit.is_ok(), "{}", trace.cut_audit);
         assert!((trace.speedup() - 1.0).abs() < 1e-12);
     }
@@ -1333,22 +1326,6 @@ mod tests {
         // Depth >= 2: the deactivation cannot share a layer with the
         // activation it waits on (directly or via the migration).
         assert!(plan.depth() >= 2, "layers: {:?}", plan.layers());
-    }
-
-    #[test]
-    fn execution_is_thread_count_invariant() {
-        let g = line6();
-        let cur = set(6, &[1, 4]);
-        let tgt = set(6, &[0, 2, 4]);
-        let pairs = [(NodeId(0), NodeId(3)), (NodeId(1), NodeId(5))];
-        let plan = ReconfigPlan::build(&g, &cur, &tgt, &pairs).expect("plan");
-        let base = plan.execute(&g, 1);
-        assert!(base.cut_audit.is_ok(), "{}", base.cut_audit);
-        for threads in [2, 4, 7] {
-            let t = plan.execute(&g, threads);
-            assert_eq!(t.checksum, base.checksum, "threads = {threads}");
-            assert_eq!(t.layers, base.layers, "threads = {threads}");
-        }
     }
 
     #[test]

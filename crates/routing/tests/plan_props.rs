@@ -183,7 +183,7 @@ proptest! {
         prop_assert_eq!(adopted.layers(), plan.layers());
         let rep = plan.certificate(&g).audit();
         prop_assert!(rep.is_ok(), "certificate: {}", rep);
-        let trace = plan.execute(&g, 3);
+        let trace = plan.execute(&g);
         prop_assert!(trace.cut_audit.is_ok(), "cuts: {}", trace.cut_audit);
     }
 

@@ -18,7 +18,7 @@
 //! | R10  | library code of the product crates | float reductions in threaded paths confined to the blessed chunk-ordered reducers (`par::map_reduce`, `par::sum_f64`) |
 //! | R11  | library code of the product crates | `Ordering::Relaxed` confined to `netgraph/src/obs.rs` — everything else uses `SeqCst` |
 //! | R12  | workspace symbol table | every pub constructor-bearing product type carries an `impl Validate` certificate |
-//! | R13  | library code of the product crates | no `thread::spawn` / `thread::scope` / `thread::Builder` outside `netgraph/src/par.rs` — parallelism goes through the pool executor |
+//! | R13  | library code of the product crates | no `thread::spawn` / `thread::scope` / `thread::Builder` outside `netgraph/src/par.rs` — parallelism goes through the `netgraph::par` executor |
 //! | R14  | product library code AND binaries | no raw socket types (`TcpListener` / `TcpStream` / `UdpSocket`) outside `src/proto.rs` — all wire I/O goes through the framed `proto::Listener` / `proto::Conn` |
 //! | R15  | library code of the product crates | no ad-hoc toposort/Kahn machinery (`toposort` / `topo_sort` / `topo_order` / `kahn` / `in_degree` identifiers) outside `crates/routing/src/plan.rs` — DAG scheduling goes through the certificate-checked `ReconfigPlan` |
 //!

@@ -10,7 +10,7 @@
 //! pub constructor-bearing product type needs a `Validate` impl) checked
 //! by [`crate::symbols::SymbolTable`] after all files are absorbed.
 //! R13 confines thread creation (`thread::spawn` / `thread::scope` /
-//! `thread::Builder`) to the pool executor in `netgraph/src/par.rs`.
+//! `thread::Builder`) to the executor in `netgraph/src/par.rs`.
 //! R14 confines raw socket types (`TcpListener` / `TcpStream` /
 //! `UdpSocket`) to the framed wire protocol module in `src/proto.rs` —
 //! and, unlike most rules, it also applies to binaries: the serving
@@ -75,9 +75,9 @@ pub enum Rule {
     ValidateCoverage,
     /// No `thread::spawn` / `thread::scope` / `thread::Builder` in
     /// product library code outside `netgraph/src/par.rs`: ad-hoc
-    /// threads bypass the persistent worker pool (losing its warm
-    /// traversal arenas and determinism counters) and reintroduce
-    /// scheduling-ordered merges the executor exists to prevent.
+    /// threads bypass the executor (its thread budget and `par.*`
+    /// counters) and reintroduce scheduling-ordered merges the
+    /// executor exists to prevent.
     NoAdhocThreads,
     /// No raw socket types (`TcpListener` / `TcpStream` / `UdpSocket`)
     /// outside `src/proto.rs` — in library code *or* binaries. The
@@ -173,7 +173,7 @@ impl Rule {
                 "pub constructor-bearing product types need an impl Validate certificate"
             }
             Rule::NoAdhocThreads => {
-                "no thread::spawn/scope/Builder outside netgraph/src/par.rs (use the pool executor)"
+                "no thread::spawn/scope/Builder outside netgraph/src/par.rs (use netgraph::par)"
             }
             Rule::NoRawSockets => {
                 "no TcpListener/TcpStream/UdpSocket outside src/proto.rs (use proto::Listener/Conn)"
@@ -316,16 +316,17 @@ impl Rule {
             Rule::NoAdhocThreads => {
                 "R13 NoAdhocThreads\n\
                  thread::spawn / thread::scope / thread::Builder in product\n\
-                 library code creates workers the pool executor does not\n\
-                 know about: they start cold (no warm TraversalArena or\n\
-                 msbfs scratch from the thread-local pools), they skip the\n\
-                 par.jobs/par.chunks accounting the determinism suite pins,\n\
-                 and any merge of their results is ordered by the OS\n\
-                 scheduler rather than by chunk index. netgraph/src/par.rs\n\
-                 owns thread creation; everything else expresses\n\
-                 parallelism as map_chunks/map_auto/map_reduce jobs.\n\
+                 library code fans out outside the executor: the work\n\
+                 skips the par.jobs/par.chunks accounting the obs suite\n\
+                 pins, ignores the --threads budget and the inline rule\n\
+                 for nested maps, and any merge of its results is ordered\n\
+                 by the OS scheduler rather than by chunk index, so the\n\
+                 thread-count bit-identity the determinism suites check\n\
+                 is no longer guaranteed. netgraph/src/par.rs owns thread\n\
+                 creation; everything else expresses parallelism as\n\
+                 map_chunks/map_auto/map_reduce calls.\n\
                  Fix: route the fan-out through netgraph::par, or justify\n\
-                 an allowlist entry for genuinely pool-incompatible work."
+                 an allowlist entry for work that cannot be a chunked map."
             }
             Rule::NoRawSockets => {
                 "R14 NoRawSockets\n\
@@ -555,7 +556,7 @@ pub fn analyze_file(path: &str, text: &str) -> FileAnalysis {
             push!(Rule::NoRelaxedOrdering, t.line);
         }
 
-        // R13: thread creation is a pool-executor privilege. Matches
+        // R13: thread creation is an executor privilege. Matches
         // `thread::spawn`, `thread::scope` and `thread::Builder` (incl.
         // the `std::thread::...` spelling — the `thread` segment is the
         // one before the final `::`).
@@ -1414,7 +1415,7 @@ pub fn count(threads: usize) -> u64 {
         ] {
             let v = check_file("crates/brokerset/src/x.rs", src);
             assert!(v.iter().any(|v| v.rule == Rule::NoAdhocThreads), "{src}");
-            // The pool executor owns thread creation.
+            // The executor owns thread creation.
             let v = check_file("crates/netgraph/src/par.rs", src);
             assert!(v.iter().all(|v| v.rule != Rule::NoAdhocThreads), "{src}");
             // Bins and support crates are out of scope.

@@ -407,7 +407,7 @@ fn run(args: &[String], record_path: Option<&str>) -> Result<(), String> {
                 let rendered: Vec<String> = layer.iter().map(|&si| steps[si].to_string()).collect();
                 say!("  antichain {i}: {}", rendered.join(", "));
             }
-            let trace = plan.execute(g, 0);
+            let trace = plan.execute(g);
             say!(
                 "executed: makespan {} vs sequential {} cost units ({:.2}x); {} cut states\n\
                  validated; trace checksum {:016x}",

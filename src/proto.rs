@@ -17,8 +17,8 @@
 //! raw socket types (`TcpListener`/`TcpStream`; lint rule R14): the
 //! binaries drive [`Listener`] and [`Conn`] instead, so every byte on
 //! the wire goes through the codec below. Connection fan-out (threads)
-//! stays in the binaries — batch evaluation inside a connection runs on
-//! the persistent [`netgraph::par`] worker pool.
+//! stays in the binaries — large batches inside a connection fan out on
+//! [`netgraph::par`].
 
 use brokerset::{ReachIndex, StitchAnswer};
 use netgraph::NodeId;
@@ -88,8 +88,7 @@ pub enum Request {
         /// Hop bound.
         l: u16,
     },
-    /// Many stitch queries answered in one frame, evaluated on the
-    /// worker pool.
+    /// Many stitch queries answered in one frame.
     Batch(Vec<(u32, u32, u16)>),
     /// Ask for the serving counters.
     Stats,
@@ -623,8 +622,8 @@ impl Conn {
 /// Serve one connection until the peer hangs up or asks for shutdown.
 /// Returns `true` when the peer requested server shutdown.
 ///
-/// Single queries are answered inline; batch frames fan out on the
-/// persistent [`netgraph::par`] worker pool (`threads` as in
+/// Single queries are answered inline; batches of at least 1,024
+/// entries fan out on [`netgraph::par`] (`threads` as in
 /// [`netgraph::par::resolve_threads`]). Malformed frames get an error
 /// reply; the connection closes when the stream cannot be
 /// resynchronized (oversize or truncated frames).
@@ -700,26 +699,25 @@ pub fn serve(
     }
 }
 
-/// Evaluate a batch in request order; large batches fan out on the
-/// worker pool in fixed chunks, so results are identical at every
+/// Evaluate a batch in request order; large batches fan out on
+/// [`netgraph::par`] in fixed chunks, so results are identical at every
 /// thread count.
 pub fn eval_batch(
     index: &Arc<ReachIndex>,
     entries: &[(u32, u32, u16)],
     threads: usize,
 ) -> Vec<Option<StitchAnswer>> {
-    const POOL_CUTOVER: usize = 1024;
-    if entries.len() < POOL_CUTOVER || threads == 1 {
+    const PARALLEL_CUTOVER: usize = 1024;
+    if entries.len() < PARALLEL_CUTOVER || threads == 1 {
         return entries
             .iter()
             .map(|&(s, t, l)| index.query(NodeId(s), NodeId(t), usize::from(l)))
             .collect();
     }
-    let shared = Arc::clone(index);
-    netgraph::par::map_chunks(entries, 256, threads, move |chunk| {
+    netgraph::par::map_chunks(entries, 256, threads, |chunk| {
         chunk
             .iter()
-            .map(|&(s, t, l)| shared.query(NodeId(s), NodeId(t), usize::from(l)))
+            .map(|&(s, t, l)| index.query(NodeId(s), NodeId(t), usize::from(l)))
             .collect::<Vec<_>>()
     })
     .into_iter()
@@ -816,6 +814,35 @@ mod tests {
         assert!(FrameError::Oversize(MAX_FRAME + 1)
             .to_string()
             .contains("declares"));
+    }
+
+    #[test]
+    fn eval_batch_answers_in_request_order_at_every_thread_count() {
+        use rand::{Rng, SeedableRng};
+        let net = topology::InternetConfig::scaled(topology::Scale::Tiny).generate(7);
+        let g = net.graph();
+        let n = g.node_count() as u32;
+        let sel = brokerset::max_subgraph_greedy(g, 40);
+        let index = Arc::new(ReachIndex::build(g, sel.brokers(), 6, 1));
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5_000);
+        let entries: Vec<(u32, u32, u16)> = (0..5_000)
+            .map(|_| {
+                (
+                    rng.gen_range(0..n),
+                    rng.gen_range(0..n),
+                    rng.gen_range(0..7u16),
+                )
+            })
+            .collect();
+        let expect: Vec<Option<StitchAnswer>> = entries
+            .iter()
+            .map(|&(s, t, l)| index.query(NodeId(s), NodeId(t), usize::from(l)))
+            .collect();
+        assert!(expect.iter().any(Option::is_some) && expect.iter().any(Option::is_none));
+        for threads in [1, 2, 4, 0] {
+            let got = eval_batch(&index, &entries, threads);
+            assert!(got == expect, "threads = {threads}: answers diverged");
+        }
     }
 
     #[test]

@@ -31,13 +31,21 @@ fn small_index() -> Arc<ReachIndex> {
 /// sequentially until one requests shutdown. Returns the bound port and
 /// the join handle (joining proves the server thread never panicked).
 fn spawn_server(index: Arc<ReachIndex>) -> (u16, std::thread::JoinHandle<()>) {
+    spawn_threaded_server(index, 1)
+}
+
+/// [`spawn_server`] whose batches fan out on `threads` workers.
+fn spawn_threaded_server(
+    index: Arc<ReachIndex>,
+    threads: usize,
+) -> (u16, std::thread::JoinHandle<()>) {
     let listener = proto::Listener::bind(0).expect("bind ephemeral port");
     let port = listener.port().expect("bound port");
     let handle = std::thread::spawn(move || {
         let counters = ServeCounters::new();
         loop {
             let Ok(conn) = listener.accept() else { break };
-            match proto::serve(conn, &index, &counters, 1) {
+            match proto::serve(conn, &index, &counters, threads) {
                 Ok(true) => break,
                 Ok(false) => {}
                 Err(_) => {} // transport hiccup: keep accepting
@@ -174,6 +182,53 @@ fn batch_and_stats_round_trip_over_tcp() {
         }
         other => panic!("expected stats, got {other:?}"),
     }
+    drop(conn);
+    shutdown(port, handle);
+}
+
+/// A batch of at least 1,024 entries fans out on the server's two
+/// workers; its answers must still arrive in request order, equal to
+/// one QUERY frame per entry and to a one-thread evaluation.
+#[test]
+fn large_batch_on_a_threaded_server_matches_single_queries() {
+    use rand::{Rng, SeedableRng};
+    let index = small_index();
+    let (port, handle) = spawn_threaded_server(Arc::clone(&index), 2);
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2_048);
+    let entries: Vec<(u32, u32, u16)> = (0..2_048)
+        .map(|_| {
+            (
+                rng.gen_range(0..8),
+                rng.gen_range(0..8),
+                rng.gen_range(0..7),
+            )
+        })
+        .collect();
+    let mut conn = proto::Conn::connect(port).expect("connect");
+    let batch = match conn
+        .request(&Request::Batch(entries.clone()))
+        .expect("batch")
+    {
+        Response::BatchAnswers(answers) => answers,
+        other => panic!("expected batch answers, got {other:?}"),
+    };
+    let singles: Vec<_> = entries
+        .iter()
+        .map(
+            |&(s, t, l)| match conn.request(&Request::Query { s, t, l }) {
+                Ok(Response::Answer(answer)) => answer,
+                other => panic!("expected an answer, got {other:?}"),
+            },
+        )
+        .collect();
+    assert!(
+        batch == singles,
+        "threaded batch diverged from per-entry QUERY frames"
+    );
+    assert!(
+        batch == proto::eval_batch(&index, &entries, 1),
+        "diverged from one thread"
+    );
     drop(conn);
     shutdown(port, handle);
 }
