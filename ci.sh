@@ -53,13 +53,12 @@ if grep -E "^warning" "$build_log" >/dev/null; then
 fi
 rm -f "$build_log"
 
-# Determinism gate: every parallel entry point (netgraph's metrics and
-# msbfs batching; brokerset's l-hop curves, chaos and failure traces,
-# index builds and invalidation) must give identical bits at every
-# thread count tested (1, 2, 4, 7 and auto), and the l-hop curve, index
-# and plan also on a degree-permuted CSR layout. Run
-# explicitly (they are also part of the workspace suite) so a violation
-# is named, not buried.
+# Determinism gate: every parallel entry point (netgraph's msbfs fan-out
+# through the executor; brokerset's l-hop curves, chaos and failure
+# traces, index builds and invalidation) must give identical bits at
+# every thread count tested (1, 2, 4, 7 and auto), and plan construction
+# must be repeatable. Run explicitly (they are also part of the
+# workspace suite) so a violation is named, not buried.
 run cargo test --offline -q -p netgraph --test determinism
 run cargo test --offline -q -p brokerset --test determinism
 
@@ -70,16 +69,17 @@ run cargo test --offline -q -p brokerset --test determinism
 run cargo test --offline -q -p brokerset --test maxsg_oracle
 
 # msbfs equivalence gate: every lane of the 64-source kernel must match
-# the per-source engine on all four view types (property-tested), and on
+# the per-source engine on every view type (property-tested), and on
 # the directed valley-free state graph where pull is forbidden.
 run cargo test --offline -q -p netgraph --test msbfs_props
 run cargo test --offline -q -p routing --test msbfs_valleyfree
 
-# Fault-injection gate: FaultView traversal must equal BFS on an
-# explicitly rebuilt surviving subgraph at every epoch of a random
-# schedule, schedules must survive JSON round trips semantically, and
-# chaos traces must stay bit-identical across thread counts and a
-# schedule save/load (the last in the brokerset determinism gate above).
+# Fault-injection gate: traversal through an epoch's MaskedView must
+# equal BFS on an explicitly rebuilt surviving subgraph at every epoch
+# of a random schedule, schedules must survive JSON round trips
+# semantically, and chaos traces must stay bit-identical across thread
+# counts and a schedule save/load (the last in the brokerset
+# determinism gate above).
 run cargo test --offline -q -p netgraph --test fault_props
 
 # Churn gate: delta application must equal an explicit rebuild (view and
@@ -122,8 +122,8 @@ for example in examples/*.rs; do
 done
 
 # Perf smoke gate: the quarter-scale (13k-node) engine bench.
-# engine_bench hard-asserts thread-count / permuted-layout bit-identity
-# (and, at full scale, its selection floor); here we additionally pin
+# engine_bench hard-asserts thread-count bit-identity (and, at full
+# scale, its selection floor); here we additionally pin
 # its exact-curve checksum to the committed BENCH_engine.json quarter
 # entry. It runs in a scratch directory so the tracked BENCH_engine.json
 # is not rewritten.

@@ -1,7 +1,6 @@
 //! Engine-layer speedup snapshot: arena-pooled vs allocating BFS,
-//! sequential vs parallel exact l-hop evaluation, the 64-lane
-//! `netgraph::msbfs` kernel vs the historical one-BFS-per-source path,
-//! and the permuted (cache-aware) vs original CSR layout.
+//! sequential vs parallel exact l-hop evaluation, and the 64-lane
+//! `netgraph::msbfs` kernel vs the historical one-BFS-per-source path.
 //!
 //! Maintains `BENCH_engine.json` at the repo root as a **`scales`
 //! array**: each invocation measures one scale (tiny, quarter or full —
@@ -52,11 +51,10 @@
 //!
 //! `curve_checksum` is an FNV-1a hash over the exact bit patterns of the
 //! shipping curve (and the per-source reference counts). The bin asserts
-//! it is identical across thread counts 1/2/4/7 **and** across the
-//! permuted vs original CSR layout. The quarter-scale value is pinned:
-//! `ci.sh` checks it against the committed `BENCH_engine.json` entry, so
-//! a change to the engine or its always-on counters that perturbs a
-//! result fails there.
+//! the curve is identical across thread counts 1/2/4/7. The
+//! quarter-scale value is pinned: `ci.sh` checks it against the
+//! committed `BENCH_engine.json` entry, so a change to the engine or its
+//! always-on counters that perturbs a result fails there.
 //!
 //! Usage: `engine_bench [tiny|quarter|full] [seed] [--scale S]
 //! [--threads N] [--obs PATH] [--record DIR]` (`--scale` overrides the
@@ -225,32 +223,6 @@ fn main() {
         );
     }
 
-    // Cache-aware layout: the same evaluation on the degree-descending
-    // permuted CSR with the broker set mapped into the permuted id
-    // space. Aggregate coverage is label-invariant, so the curve must be
-    // bit-identical; timing shows what the layout buys.
-    let t0 = Instant::now();
-    let perm = g.permute_by_degree();
-    let permute_s = t0.elapsed().as_secs_f64();
-    let brokers_new = perm.map_set(sel.brokers());
-    let permuted_curve =
-        brokerset::lhop_curve_parallel(perm.graph(), &brokers_new, MAX_L, SourceMode::Exact, 1);
-    assert_eq!(
-        exact_base.fractions, permuted_curve.fractions,
-        "permuted CSR layout changed the exact l-hop curve"
-    );
-    let lhop_original = median_secs(reps, || {
-        brokerset::lhop_curve_parallel(g, sel.brokers(), MAX_L, SourceMode::Exact, threads)
-    });
-    let lhop_permuted = median_secs(reps, || {
-        brokerset::lhop_curve_parallel(
-            perm.graph(),
-            &brokers_new,
-            MAX_L,
-            SourceMode::Exact,
-            threads,
-        )
-    });
     let curve_checksum = fnv1a_words(
         exact_base
             .fractions
@@ -258,27 +230,7 @@ fn main() {
             .map(|f| f.to_bits())
             .chain(reference.iter().copied()),
     );
-    let permuted_checksum = fnv1a_words(
-        permuted_curve
-            .fractions
-            .iter()
-            .map(|f| f.to_bits())
-            .chain(reference.iter().copied()),
-    );
-    assert_eq!(
-        curve_checksum, permuted_checksum,
-        "curve_checksum differs between CSR layouts"
-    );
-    println!("  curve_checksum: {curve_checksum:016x} (must match across threads and layouts)");
-    let layout_rows = serde_json::json!([
-        {"layout": "original", "lhop_exact_s": lhop_original, "curve_checksum": format!("{curve_checksum:016x}")},
-        {"layout": "permuted", "lhop_exact_s": lhop_permuted, "curve_checksum": format!("{permuted_checksum:016x}"),
-         "permute_build_s": permute_s},
-    ]);
-    println!(
-        "  layout: original {lhop_original:.4}s  permuted {lhop_permuted:.4}s  ({:.2}x)",
-        lhop_original / lhop_permuted
-    );
+    println!("  curve_checksum: {curve_checksum:016x} (must match across threads)");
 
     let mut rows = Vec::new();
     println!(
@@ -351,7 +303,6 @@ fn main() {
         "floors": floors,
         "compare_sources": cmp_sources.len(),
         "lhop_rows": rows,
-        "layout_rows": layout_rows,
         "msbfs_vs_per_source_par_speedup": msbfs_par_speedup,
         "curve_checksum": format!("{curve_checksum:016x}"),
         "wall_s_total": wall_start.elapsed().as_secs_f64(),

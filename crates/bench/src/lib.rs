@@ -85,7 +85,7 @@ impl RunConfig {
     /// # Errors
     ///
     /// Returns a human-readable description of the first bad argument.
-    pub fn parse_extended<I: IntoIterator<Item = String>>(
+    fn parse_extended<I: IntoIterator<Item = String>>(
         args: I,
         extras: ArgExtras<'_>,
     ) -> Result<(Self, ParsedExtras), String> {

@@ -75,7 +75,7 @@ impl ApproxConfig {
     }
 
     /// `x* = ⌊(k − 1)/⌈β/2⌉⌋ + 1` pre-selected brokers for budget `k`.
-    pub fn x_star(&self, k: usize) -> usize {
+    fn x_star(&self, k: usize) -> usize {
         if k == 0 {
             return 0;
         }

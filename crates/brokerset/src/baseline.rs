@@ -78,33 +78,6 @@ pub fn greedy_dominating_set(g: &Graph) -> BrokerSelection {
     crate::greedy::greedy_mcb(g, g.node_count())
 }
 
-/// Betweenness-Based baseline (extension): the `k` vertices with the
-/// highest (sampled) betweenness centrality. Not in the paper — included
-/// because shortest-path load is the natural "transit broker" intuition,
-/// and the ablation bench shows it inherits DB/PRB's marginal effect.
-pub fn betweenness_based<R: Rng>(
-    g: &Graph,
-    k: usize,
-    samples: usize,
-    rng: &mut R,
-) -> BrokerSelection {
-    let bc = netgraph::betweenness(g, Some(samples), rng);
-    BrokerSelection::new("bb", g.node_count(), top_by_score(&bc, k))
-}
-
-/// Closeness-Based baseline (extension): the `k` vertices with the
-/// highest (sampled) closeness centrality — "pick the ASes nearest to
-/// everyone". Suffers the same overlap problem as DB/PRB.
-pub fn closeness_based<R: Rng>(
-    g: &Graph,
-    k: usize,
-    samples: usize,
-    rng: &mut R,
-) -> BrokerSelection {
-    let cc = netgraph::closeness(g, Some(samples), rng);
-    BrokerSelection::new("cb", g.node_count(), top_by_score(&cc, k))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,37 +152,6 @@ mod tests {
         for &v in t1.order() {
             assert_eq!(net.kind(v), NodeKind::Tier1);
         }
-    }
-
-    #[test]
-    fn betweenness_based_picks_bridge() {
-        // Two cliques joined by one bridge vertex: BB must pick it first.
-        let mut edges = vec![];
-        for i in 0..4u32 {
-            for j in (i + 1)..4 {
-                edges.push((NodeId(i), NodeId(j)));
-            }
-        }
-        for i in 5..9u32 {
-            for j in (i + 1)..9 {
-                edges.push((NodeId(i), NodeId(j)));
-            }
-        }
-        edges.push((NodeId(3), NodeId(4)));
-        edges.push((NodeId(4), NodeId(5)));
-        let g = from_edges(9, edges);
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let sel = betweenness_based(&g, 1, usize::MAX, &mut rng);
-        assert_eq!(sel.order(), &[NodeId(4)]);
-    }
-
-    #[test]
-    fn closeness_based_picks_center() {
-        // Path: the middle vertex is the closeness center.
-        let g = from_edges(7, (0..6).map(|i| (NodeId(i), NodeId(i + 1))));
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let sel = closeness_based(&g, 1, usize::MAX, &mut rng);
-        assert_eq!(sel.order(), &[NodeId(3)]);
     }
 
     #[test]

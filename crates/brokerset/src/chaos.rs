@@ -30,7 +30,7 @@ use crate::connectivity::{run_sources_over, SourceMode};
 use crate::problem::BrokerSelection;
 use crate::validate::{AuditReport, Validate};
 use netgraph::components::view_components;
-use netgraph::{par, DominatedView, FaultSchedule, FaultState, FaultView, Graph, NodeId};
+use netgraph::{par, DominatedView, FaultSchedule, FaultState, Graph, MaskedView, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// What one epoch's evaluation could not cover, and why. All fields are
@@ -199,7 +199,11 @@ fn eval_epoch(
         .filter(|&b| !alive.contains(b))
         .collect();
 
-    let view = FaultView::new(DominatedView::new(g, &alive), state);
+    let view = MaskedView::new(
+        DominatedView::new(g, &alive),
+        Some(state.failed_nodes()),
+        Some(state.failed_edges()),
+    );
     let comps = view_components(&view);
     let connected = comps.connected_ordered_pairs();
     let total = (n as u64).saturating_mul((n as u64).saturating_sub(1));

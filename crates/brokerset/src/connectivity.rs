@@ -119,7 +119,7 @@ fn run_sources(
 /// [`run_sources`] over an arbitrary symmetric [`GraphView`] — the same
 /// 64-lane batching, level-pair accumulation and per-source division,
 /// so instantiating it with a transparent mask (e.g. an all-clear
-/// [`netgraph::FaultView`] over the dominated edge set) is byte-identical
+/// [`netgraph::MaskedView`] over the dominated edge set) is byte-identical
 /// to [`run_sources`] itself.
 pub(crate) fn run_sources_over<V: GraphView + Copy>(
     view: V,

@@ -92,7 +92,7 @@ impl CoverageIndex {
     }
 
     /// Whether `v` is a broker.
-    pub fn is_broker(&self, v: NodeId) -> bool {
+    fn is_broker(&self, v: NodeId) -> bool {
         self.brokers.contains(&v)
     }
 
@@ -103,7 +103,7 @@ impl CoverageIndex {
     }
 
     /// Brokers covering `x` (the cover count).
-    pub fn cover_count(&self, x: NodeId) -> u32 {
+    fn cover_count(&self, x: NodeId) -> u32 {
         self.cover_count[x.index()]
     }
 
@@ -121,7 +121,7 @@ impl CoverageIndex {
 
     /// Vertices only `b` covers — the coverage that would be lost if `b`
     /// were evicted.
-    pub fn exclusive_coverage(&self, g: &Graph, b: NodeId) -> usize {
+    fn exclusive_coverage(&self, g: &Graph, b: NodeId) -> usize {
         let mut excl = usize::from(self.cover_count[b.index()] == 1);
         for &u in g.neighbors(b) {
             if self.cover_count[u.index()] == 1 {

@@ -71,8 +71,8 @@
 
 use netgraph::msbfs::LANES;
 use netgraph::{
-    fnv1a, with_msbfs, AuditReport, DominatedView, FaultState, FaultView, Graph, GraphDelta,
-    GraphView, NodeId, NodeSet, Permuted, Validate,
+    fnv1a, with_msbfs, AuditReport, DominatedView, FaultState, Graph, GraphDelta, GraphView,
+    MaskedView, NodeId, NodeSet, Validate,
 };
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -156,10 +156,10 @@ impl std::error::Error for IndexCodecError {}
 
 const MAGIC: &[u8; 4] = b"BRI1";
 
-/// The masked dominated view the shards are computed over — equivalent
-/// to `FaultView(DominatedView(g, alive), state)` but constructible
-/// from the raw element sets the index persists (a [`FaultState`]
-/// cannot be rebuilt from outside [`netgraph::fault`]).
+/// The masked dominated view the shards are computed over: the edges of
+/// `MaskedView::new(DominatedView::new(g, alive), Some(down), Some(cut))`,
+/// with the domination test and both masks fused into one pass over each
+/// CSR row of the shard-write loop.
 #[derive(Debug, Clone, Copy)]
 struct MaskView<'a> {
     g: &'a Graph,
@@ -207,11 +207,10 @@ impl GraphView for MaskView<'_> {
 /// Precomputed hop-bounded reachability index over the dominated
 /// subgraph: one `u8` distance shard per roster broker, vertex-major.
 ///
-/// Build with [`ReachIndex::build`] (or
-/// [`ReachIndex::build_under`] / [`ReachIndex::build_permuted`]), ask
-/// with [`ReachIndex::query`], persist with [`ReachIndex::to_bytes`],
-/// and keep fresh with [`ReachIndex::apply_state`] /
-/// [`ReachIndex::apply_delta`].
+/// Build with [`ReachIndex::build`] (or [`ReachIndex::build_under`]),
+/// ask with [`ReachIndex::query`], persist with
+/// [`ReachIndex::to_bytes`], and keep fresh with
+/// [`ReachIndex::apply_state`] / [`ReachIndex::apply_delta`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachIndex {
     n: usize,
@@ -290,51 +289,6 @@ impl ReachIndex {
         idx.rebuild_columns(g, &js, threads);
         let () = netgraph::counter!("index.builds");
         idx
-    }
-
-    /// Build over a degree-permuted CSR layout, writing results back
-    /// through the permutation: the returned index lives in the
-    /// *original* id space and serializes byte-identically to
-    /// [`ReachIndex::build`] on the unpermuted graph (BFS levels are
-    /// unique values, so traversal order cannot leak into them).
-    pub fn build_permuted(
-        perm: &Permuted,
-        brokers: &NodeSet,
-        max_l: usize,
-        threads: usize,
-    ) -> Self {
-        assert!(max_l <= MAX_HOP_CAP, "max_l {max_l} exceeds {MAX_HOP_CAP}");
-        let g = perm.graph();
-        let n = g.node_count();
-        let roster_ids: Vec<NodeId> = brokers.iter().collect();
-        let k = roster_ids.len();
-        let inputs = ShardInputs {
-            g: g.clone(),
-            alive: perm.map_set(brokers),
-            down: NodeSet::new(n),
-            cut: BTreeSet::new(),
-            max_l: max_l as u8,
-        };
-        let sources: Vec<NodeId> = roster_ids.iter().map(|&b| perm.to_new(b)).collect();
-        let cols: Vec<usize> = (0..k).collect();
-        let mut dist = vec![UNREACH; n * k];
-        write_shards(&mut dist, k, inputs, &sources, &cols, threads, |v| {
-            perm.to_old(NodeId(v as u32)).index()
-        });
-        let () = netgraph::counter!("index.builds");
-        ReachIndex {
-            n,
-            max_l: max_l as u8,
-            epoch: 0,
-            shards_invalidated: 0,
-            brokers: roster_ids,
-            roster: brokers.clone(),
-            live: vec![true; k],
-            dist,
-            down: NodeSet::new(n),
-            cut: BTreeSet::new(),
-            defected: NodeSet::new(n),
-        }
     }
 
     /// Vertices the index covers.
@@ -625,7 +579,7 @@ impl ReachIndex {
         };
         let sources: Vec<NodeId> = js.iter().map(|&j| self.brokers[j]).collect();
         let k = self.brokers.len();
-        write_shards(&mut self.dist, k, inputs, &sources, js, threads, |v| v);
+        write_shards(&mut self.dist, k, inputs, &sources, js, threads);
     }
 
     /// Serialize into the `BRI1` binary format (little-endian, FNV-1a
@@ -692,6 +646,16 @@ impl ReachIndex {
             return Err(IndexCodecError::Corrupt("hop cap out of range"));
         }
         let shards_invalidated = cur.u64()?;
+        // Check the header's counts against the payload before allocating
+        // for them: the roster and its live flags take 5·k bytes, the
+        // shards n·k.
+        let needed = k
+            .checked_mul(5)
+            .zip(n.checked_mul(k))
+            .and_then(|(roster, shards)| roster.checked_add(shards));
+        if needed.is_none_or(|needed| needed > cur.data.len()) {
+            return Err(IndexCodecError::Truncated);
+        }
         let mut brokers = Vec::with_capacity(k);
         for _ in 0..k {
             let b = cur.u32()?;
@@ -983,7 +947,11 @@ pub fn exact_query(
     let mut alive = brokers.clone();
     alive.difference_with(state.failed_brokers());
     alive.difference_with(state.failed_nodes());
-    let view = FaultView::new(DominatedView::new(g, &alive), state);
+    let view = MaskedView::new(
+        DominatedView::new(g, &alive),
+        Some(state.failed_nodes()),
+        Some(state.failed_edges()),
+    );
     let dists = netgraph::msbfs_distances(view, &[s, t]);
     let mut best: Option<(u32, NodeId, u32, u32)> = None;
     for b in alive.iter() {
@@ -1096,8 +1064,8 @@ struct ShardInputs {
 
 /// Compute the shard of each of `sources` and write source `i`'s
 /// distances over column `cols[i]` of the vertex-major table `dist` (row
-/// width `k`), view vertex `v` landing in row `row_of(v)`. Every entry of
-/// a written column is overwritten, [`UNREACH`] included.
+/// width `k`). Every entry of a written column is overwritten,
+/// [`UNREACH`] included.
 ///
 /// Batches of 64 sources run as msbfs on `netgraph::par` in waves of
 /// 64 × workers columns. Each batch fills a vertex-major block
@@ -1112,7 +1080,6 @@ fn write_shards(
     sources: &[NodeId],
     cols: &[usize],
     threads: usize,
-    row_of: impl Fn(usize) -> usize,
 ) {
     debug_assert_eq!(sources.len(), cols.len(), "one column per source");
     let n = inputs.g.node_count();
@@ -1125,7 +1092,7 @@ fn write_shards(
         let blocks =
             netgraph::par::map_auto(&batches, threads, move |batch| shard_block(&shared, batch));
         for v in 0..n {
-            let row = &mut dist[row_of(v) * k..][..k];
+            let row = &mut dist[v * k..][..k];
             for (block, block_cols) in blocks.iter().zip(wave_cols.chunks(LANES)) {
                 let w = block_cols.len();
                 for (&j, &d) in block_cols.iter().zip(&block[v * w..][..w]) {
@@ -1283,6 +1250,21 @@ mod tests {
         assert_eq!(
             ReachIndex::from_bytes(&fixed),
             Err(IndexCodecError::BadMagic)
+        );
+        // A header claiming u32::MAX brokers with no roster behind it must
+        // be rejected before anything is sized by that count.
+        let mut huge_roster = MAGIC.to_vec();
+        huge_roster.extend_from_slice(&10u32.to_le_bytes()); // n
+        huge_roster.extend_from_slice(&u32::MAX.to_le_bytes()); // k
+        huge_roster.extend_from_slice(&0u32.to_le_bytes()); // epoch
+        huge_roster.push(6); // max_l
+        huge_roster.extend_from_slice(&0u64.to_le_bytes()); // invalidations
+        let digest = fnv1a(huge_roster.iter().copied()).to_le_bytes();
+        huge_roster.extend_from_slice(&digest);
+        assert_eq!(huge_roster.len(), 33);
+        assert_eq!(
+            ReachIndex::from_bytes(&huge_roster),
+            Err(IndexCodecError::Truncated)
         );
         assert!(IndexCodecError::Corrupt("x").to_string().contains("x"));
     }

@@ -63,20 +63,13 @@ pub mod greedy;
 pub mod incremental;
 pub mod index;
 pub mod lengthaware;
-pub mod localsearch;
 pub mod maxsg;
-pub mod pareto;
 pub mod problem;
 pub mod resilience;
-pub mod sweep;
 pub mod validate;
-pub mod weighted;
 
 pub use approx::{approx_mcbg, ApproxConfig};
-pub use baseline::{
-    betweenness_based, closeness_based, degree_based, ixp_based, pagerank_based, set_cover,
-    tier1_only,
-};
+pub use baseline::{degree_based, ixp_based, pagerank_based, set_cover, tier1_only};
 pub use chaos::{
     chaos_trace, chaos_trace_threaded, ChaosStep, ChaosTrace, Degradation, DegradationCertificate,
 };
@@ -97,11 +90,7 @@ pub use index::{
     ReachIndex, StitchAnswer,
 };
 pub use lengthaware::{select_with_length_constraint, LengthConstrainedSelection};
-pub use localsearch::{local_search_coverage, LocalSearchResult};
 pub use maxsg::max_subgraph_greedy;
-pub use pareto::Frontier;
 pub use problem::{BrokerSelection, PathLengthConstraint};
 pub use resilience::{greedy_repair, FailureOrder};
-pub use sweep::{connectivity_sweep, ConnectivitySweep};
 pub use validate::{AuditReport, CoverageCertificate, Validate};
-pub use weighted::{degree_proxy_weights, greedy_mcb_weighted, WeightedCoverage};

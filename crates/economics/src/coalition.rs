@@ -14,9 +14,7 @@
 //!   the sensible coalition size.
 //!
 //! Coalitions are bitmask-encoded (`u32`), capping exhaustive checks at
-//! 20 players; use the sampled variants beyond.
-
-use rand::Rng;
+//! 20 players.
 
 /// A characteristic function over at most 20 players, evaluated on
 /// bitmask coalitions.
@@ -171,36 +169,6 @@ pub fn is_supermodular<G: CharacteristicFn>(game: &G) -> bool {
     true
 }
 
-/// Sampled supermodularity check for larger games: draws `samples`
-/// random `(S, i, j)` triples and reports the fraction that satisfy the
-/// pairwise condition (1.0 = no violation observed).
-pub fn supermodularity_score<G: CharacteristicFn, R: Rng>(
-    game: &G,
-    samples: usize,
-    rng: &mut R,
-) -> f64 {
-    let n = game.players();
-    assert!(n >= 2, "need at least two players");
-    assert!(n < 32, "bitmask games capped at 31 players");
-    let mut ok = 0usize;
-    for _ in 0..samples {
-        let s: u32 = rng.gen_range(0..(1u32 << n));
-        let i = rng.gen_range(0..n);
-        let mut j = rng.gen_range(0..n);
-        while j == i {
-            j = rng.gen_range(0..n);
-        }
-        let (bi, bj) = (1u32 << i, 1u32 << j);
-        let s = s & !(bi | bj);
-        let lhs = game.value(s | bi | bj) - game.value(s | bj);
-        let rhs = game.value(s | bi) - game.value(s);
-        if lhs >= rhs - 1e-9 {
-            ok += 1;
-        }
-    }
-    ok as f64 / samples.max(1) as f64
-}
-
 /// Marginal contribution `Δ_j(K) = U(K ∪ {j}) − U(K)` (Eq. 12).
 pub fn marginal_contribution<G: CharacteristicFn>(game: &G, mask: u32, j: usize) -> f64 {
     let bj = 1u32 << j;
@@ -243,8 +211,6 @@ pub fn is_in_core<G: CharacteristicFn>(game: &G, allocation: &[f64], tol: f64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     /// U(S) = |S|² — supermodular and superadditive.
     fn quadratic(n: usize) -> FnGame<impl Fn(u32) -> f64> {
@@ -345,16 +311,6 @@ mod tests {
     #[should_panic(expected = "U(empty)")]
     fn table_rejects_nonzero_empty() {
         TableGame::new(vec![1.0, 1.0]);
-    }
-
-    #[test]
-    fn sampled_score_matches_exhaustive() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let good = quadratic(8);
-        assert_eq!(supermodularity_score(&good, 2000, &mut rng), 1.0);
-        let bad = sqrt_game(8);
-        let score = supermodularity_score(&bad, 2000, &mut rng);
-        assert!(score < 1.0, "score {score} should expose violations");
     }
 
     #[test]

@@ -112,11 +112,6 @@ impl AggregateLedger {
         self.routing_cost += entry.routing_cost;
         self.profit += entry.profit;
     }
-
-    /// Mean profit per path (`None` when empty).
-    pub fn mean_profit(&self) -> Option<f64> {
-        (self.paths > 0).then(|| self.profit / self.paths as f64)
-    }
 }
 
 #[cfg(test)]
@@ -181,12 +176,11 @@ mod tests {
     #[test]
     fn aggregate_folds() {
         let mut agg = AggregateLedger::default();
-        assert!(agg.mean_profit().is_none());
         agg.add(account_path(&tariff(), 2, 0));
         agg.add(account_path(&tariff(), 4, 1));
         assert_eq!(agg.paths, 2);
         assert!((agg.revenue - 40.0).abs() < 1e-12);
-        assert!(agg.mean_profit().unwrap() > 0.0);
+        assert!(agg.profit > 0.0);
     }
 
     proptest! {

@@ -70,7 +70,7 @@ impl CustomerAs {
     }
 
     /// `V(a) + P(a)` at adoption level `a`.
-    pub fn gross_value(&self, a: f64) -> f64 {
+    fn gross_value(&self, a: f64) -> f64 {
         let v = self.qos_revenue * (1.0 + self.qos_saturation * a).ln();
         let t = (a - self.transit_peak) / (1.0 - self.transit_peak);
         let p = self.transit_scale * (1.0 - t * t);

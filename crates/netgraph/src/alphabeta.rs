@@ -30,7 +30,7 @@ pub struct HopHistogram {
 
 impl HopHistogram {
     /// `Prob[d(u,v) ≤ beta]` over the evaluated pairs.
-    pub fn prob_within(&self, beta: usize) -> f64 {
+    fn prob_within(&self, beta: usize) -> f64 {
         if self.total_pairs == 0 {
             return 0.0;
         }
@@ -54,39 +54,11 @@ impl HopHistogram {
             })
             .collect()
     }
-
-    /// Smallest `β` such that `prob_within(β) ≥ alpha`, or `None` if even
-    /// full connectivity doesn't reach `alpha`.
-    pub fn beta_for(&self, alpha: f64) -> Option<usize> {
-        let mut acc = 0u64;
-        for (d, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            if self.total_pairs > 0 && acc as f64 / self.total_pairs as f64 >= alpha {
-                return Some(d);
-            }
-        }
-        None
-    }
-
-    /// Mean hop distance over connected pairs, `None` if no pair connects.
-    pub fn mean_distance(&self) -> Option<f64> {
-        let connected: u64 = self.counts.iter().sum();
-        if connected == 0 {
-            return None;
-        }
-        let weighted: u64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(d, &c)| d as u64 * c)
-            .sum();
-        Some(weighted as f64 / connected as f64)
-    }
 }
 
 /// Exact hop histogram via all-sources BFS. `O(n(n + m))` — fine up to a
 /// few thousand vertices; use [`hop_histogram_sampled`] beyond.
-pub fn hop_histogram(g: &Graph) -> HopHistogram {
+fn hop_histogram(g: &Graph) -> HopHistogram {
     let sources: Vec<NodeId> = g.nodes().collect();
     histogram_for_sources(g, &sources)
 }
@@ -198,9 +170,6 @@ mod tests {
         assert_eq!(hist.unreachable, 0);
         assert_eq!(hist.total_pairs, 12);
         assert!((hist.prob_within(2) - 10.0 / 12.0).abs() < 1e-12);
-        assert_eq!(hist.beta_for(0.8), Some(2));
-        assert_eq!(hist.beta_for(1.0), Some(3));
-        assert!((hist.mean_distance().unwrap() - (6.0 + 8.0 + 6.0) / 12.0).abs() < 1e-12);
     }
 
     #[test]
@@ -209,7 +178,6 @@ mod tests {
         let hist = hop_histogram(&g);
         assert_eq!(hist.counts[1], 4);
         assert_eq!(hist.unreachable, 8);
-        assert!(hist.beta_for(0.9).is_none());
     }
 
     #[test]
@@ -260,7 +228,6 @@ mod tests {
             sources: 0,
         };
         assert_eq!(hist.prob_within(4), 0.0);
-        assert!(hist.mean_distance().is_none());
         assert!(hist.cdf().is_empty());
     }
 }

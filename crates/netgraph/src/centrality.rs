@@ -9,11 +9,6 @@
 use crate::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 
-/// Degrees of all vertices, as a vector indexed by node id.
-pub fn degree_sequence(g: &Graph) -> Vec<usize> {
-    g.nodes().map(|v| g.degree(v)).collect()
-}
-
 /// Configuration for [`pagerank`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PageRankConfig {
@@ -267,11 +262,5 @@ mod tests {
         assert_eq!(top, vec![NodeId(1), NodeId(2), NodeId(0)]);
         assert_eq!(top_by_score(&scores, 0), Vec::<NodeId>::new());
         assert_eq!(top_by_score(&scores, 10).len(), 4);
-    }
-
-    #[test]
-    fn degree_sequence_matches() {
-        let g = star(4);
-        assert_eq!(degree_sequence(&g), vec![3, 1, 1, 1]);
     }
 }

@@ -5,20 +5,13 @@
 //! workspace assumes a frozen adjacency. Topology *evolution* (IXP
 //! births, new memberships, AS births and deaths) therefore enters the
 //! engine as data: a [`GraphDelta`] is one epoch's worth of edits,
-//! normalized and serializable, and can be consumed two ways:
-//!
-//! - [`Graph::apply_delta`] — rebuild-with-diff. Produces a fresh CSR
-//!   graph with **stable vertex ids**: new vertices are appended after
-//!   the existing id range and removed vertices are tombstoned in place
-//!   (they keep their id but lose every incident edge), so broker sets,
-//!   fault schedules and per-node arrays indexed against the old graph
-//!   stay meaningful against the new one.
-//! - [`DeltaView`] — an overlay implementing [`GraphView`], for peeking
-//!   at the post-delta adjacency without paying the CSR rebuild. The
-//!   whole traversal machinery ([`crate::with_arena`],
-//!   [`crate::with_msbfs`], [`crate::par`]) runs over it unchanged, and
-//!   it composes with [`crate::FaultView`] exactly like the other views
-//!   — which is what lets churn and faults share one epoch timeline.
+//! normalized and serializable, and [`Graph::apply_delta`] applies it
+//! by rebuild-with-diff. That produces a fresh CSR graph with **stable
+//! vertex ids**: new vertices are appended after the existing id range
+//! and removed vertices are tombstoned in place (they keep their id but
+//! lose every incident edge), so broker sets, fault schedules and
+//! per-node arrays indexed against the old graph stay meaningful
+//! against the new one.
 //!
 //! Application order within a delta is fixed: grow the vertex set, add
 //! edges, remove edges, then remove vertices. An edge both added and
@@ -27,9 +20,8 @@
 
 use crate::graph::{undirected_key, Graph, GraphBuilder, NodeId};
 use crate::validate::{AuditReport, Validate};
-use crate::view::GraphView;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// One epoch's worth of graph edits against a base graph with
 /// `base_nodes` vertices.
@@ -149,11 +141,6 @@ impl GraphDelta {
         &self.removed_nodes
     }
 
-    /// Number of fresh vertices this delta appends.
-    pub fn new_node_count(&self) -> usize {
-        self.new_nodes
-    }
-
     /// Whether the delta edits nothing.
     pub fn is_empty(&self) -> bool {
         self.new_nodes == 0
@@ -249,116 +236,6 @@ impl Graph {
     }
 }
 
-/// Overlay view of a base graph with a [`GraphDelta`] applied, without
-/// the CSR rebuild. Implements [`GraphView`], so the arena BFS, the
-/// 64-lane msbfs kernel and the parallel executor all traverse the
-/// post-delta topology unchanged — and a [`crate::FaultView`] can wrap
-/// it to run churn and faults on one timeline.
-///
-/// Neighbor enumeration order is deterministic: surviving base
-/// neighbors in CSR (ascending) order first, then surviving added
-/// neighbors in ascending order.
-#[derive(Debug, Clone)]
-pub struct DeltaView<'a> {
-    base: &'a Graph,
-    node_count: usize,
-    /// Added adjacency (both directions), ascending, deduplicated
-    /// against the base graph.
-    extra: BTreeMap<u32, Vec<NodeId>>,
-    removed_edges: BTreeSet<(u32, u32)>,
-    dead: crate::NodeSet,
-}
-
-impl<'a> DeltaView<'a> {
-    /// Overlay `delta` on `base`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta.base_nodes()` disagrees with `base`.
-    pub fn new(base: &'a Graph, delta: &GraphDelta) -> Self {
-        assert_eq!(
-            base.node_count(),
-            delta.base_nodes(),
-            "delta was built against a {}-vertex graph",
-            delta.base_nodes()
-        );
-        let node_count = delta.node_count_after();
-        let removed_edges: BTreeSet<(u32, u32)> = delta.removed_edges.iter().copied().collect();
-        let mut dead = crate::NodeSet::new(node_count);
-        for &v in &delta.removed_nodes {
-            dead.insert(v);
-        }
-        // Added edges, minus those already present in the base (they
-        // must not be enumerated twice), deduplicated among themselves.
-        let mut extra: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
-        let mut seen: BTreeSet<(u32, u32)> = BTreeSet::new();
-        for &(a, z) in delta.added_edges() {
-            if !seen.insert((a, z)) {
-                continue;
-            }
-            let in_base = (a as usize) < base.node_count()
-                && (z as usize) < base.node_count()
-                && base.has_edge(NodeId(a), NodeId(z));
-            if in_base {
-                continue;
-            }
-            extra.entry(a).or_default().push(NodeId(z));
-            extra.entry(z).or_default().push(NodeId(a));
-        }
-        for nbs in extra.values_mut() {
-            nbs.sort_unstable();
-        }
-        DeltaView {
-            base,
-            node_count,
-            extra,
-            removed_edges,
-            dead,
-        }
-    }
-}
-
-impl GraphView for DeltaView<'_> {
-    fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    #[inline]
-    fn for_each_neighbor(&self, u: NodeId, mut visit: impl FnMut(NodeId)) {
-        if self.dead.contains(u) {
-            return;
-        }
-        let alive = |u: NodeId, v: NodeId| {
-            !self.dead.contains(v) && !self.removed_edges.contains(&undirected_key(u, v))
-        };
-        if u.index() < self.base.node_count() {
-            for &v in self.base.neighbors(u) {
-                if alive(u, v) {
-                    visit(v);
-                }
-            }
-        }
-        if let Some(extra) = self.extra.get(&u.0) {
-            for &v in extra {
-                if alive(u, v) {
-                    visit(v);
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn contains_node(&self, v: NodeId) -> bool {
-        v.index() < self.node_count && !self.dead.contains(v)
-    }
-
-    fn is_symmetric(&self) -> bool {
-        // Undirected edits on an undirected graph: both directions of
-        // every surviving edge are enumerated.
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,51 +301,6 @@ mod tests {
         assert!(d.is_empty());
         assert_eq!(d.op_count(), 0);
         assert_eq!(g.apply_delta(&d), g);
-    }
-
-    #[test]
-    fn view_matches_rebuild() {
-        let g = path5();
-        let mut d = GraphDelta::new(5);
-        let w = d.add_node();
-        d.add_edge(w, NodeId(1));
-        d.remove_edge(NodeId(0), NodeId(1));
-        d.remove_node(NodeId(4));
-        let rebuilt = g.apply_delta(&d);
-        let view = DeltaView::new(&g, &d);
-        assert_eq!(view.node_count(), rebuilt.node_count());
-        assert!(view.is_symmetric());
-        for v in rebuilt.nodes() {
-            let mut from_view: Vec<NodeId> = Vec::new();
-            view.for_each_neighbor(v, |u| from_view.push(u));
-            from_view.sort_unstable();
-            assert_eq!(from_view, rebuilt.neighbors(v).to_vec(), "vertex {v}");
-            assert_eq!(
-                view.contains_node(v),
-                rebuilt.degree(v) > 0 || !d.removed_nodes().contains(&v)
-            );
-        }
-    }
-
-    #[test]
-    fn view_composes_with_arena_and_msbfs() {
-        let g = path5();
-        let mut d = GraphDelta::new(5);
-        let w = d.add_node(); // 5
-        d.add_edge(w, NodeId(4));
-        d.remove_edge(NodeId(1), NodeId(2));
-        let view = DeltaView::new(&g, &d);
-        let dist = crate::with_arena(|a| {
-            a.run(&view, NodeId(0));
-            (0..6).map(|v| a.distance(NodeId(v))).collect::<Vec<_>>()
-        });
-        assert_eq!(dist, vec![Some(0), Some(1), None, None, None, None]);
-        let lanes = crate::msbfs_distances(&view, &[NodeId(2), NodeId(5)]);
-        assert_eq!(
-            lanes[0],
-            vec![None, None, Some(0), Some(1), Some(2), Some(3)]
-        );
-        assert_eq!(lanes[1][4], Some(1));
     }
 
     #[test]

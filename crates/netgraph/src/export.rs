@@ -1,10 +1,10 @@
-//! Export helpers: Graphviz DOT and plain edge lists.
+//! Export helper: Graphviz DOT.
 //!
 //! Fig. 1 and Fig. 4 of the paper are topology visualizations; these
-//! exporters let the bench harness dump graphs (optionally with a
+//! exporter lets the bench harness dump graphs (optionally with a
 //! highlighted broker set) for external rendering.
 
-use crate::{Graph, NodeId, NodeSet};
+use crate::{Graph, NodeSet};
 use std::fmt::Write as _;
 
 /// Render `g` as an undirected Graphviz DOT document.
@@ -48,50 +48,11 @@ pub fn to_dot(g: &Graph, highlight: Option<&NodeSet>, labels: Option<&[String]>)
     out
 }
 
-/// Render `g` as a whitespace-separated edge list, one `u v` line per
-/// undirected edge with `u < v`.
-pub fn to_edge_list(g: &Graph) -> String {
-    let mut out = String::new();
-    for (u, v) in g.edges() {
-        let _ = writeln!(out, "{} {}", u.0, v.0);
-    }
-    out
-}
-
-/// Parse an edge list produced by [`to_edge_list`] (or any `u v` pairs).
-///
-/// The vertex count is `max id + 1` unless `min_nodes` is larger.
-///
-/// # Errors
-///
-/// Returns a message describing the first malformed line.
-pub fn from_edge_list(text: &str, min_nodes: usize) -> Result<Graph, String> {
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut max_id = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let parse = |tok: Option<&str>| -> Result<usize, String> {
-            tok.ok_or_else(|| format!("line {}: missing field", lineno + 1))?
-                .parse::<usize>()
-                .map_err(|e| format!("line {}: {e}", lineno + 1))
-        };
-        let u = parse(parts.next())?;
-        let v = parse(parts.next())?;
-        max_id = max_id.max(u).max(v);
-        edges.push((NodeId::from(u), NodeId::from(v)));
-    }
-    let nodes = min_nodes.max(if edges.is_empty() { 0 } else { max_id + 1 });
-    Ok(crate::graph::from_edges(nodes, edges))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::from_edges;
+    use crate::NodeId;
 
     #[test]
     fn dot_contains_edges_and_highlights() {
@@ -119,31 +80,5 @@ mod tests {
     fn dot_label_mismatch_panics() {
         let g = from_edges(2, [(NodeId(0), NodeId(1))]);
         to_dot(&g, None, Some(&["x".to_string()]));
-    }
-
-    #[test]
-    fn edge_list_roundtrip() {
-        let g = from_edges(
-            4,
-            [(0, 1), (1, 2), (2, 3)].map(|(a, b)| (NodeId(a), NodeId(b))),
-        );
-        let text = to_edge_list(&g);
-        let g2 = from_edge_list(&text, 0).unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn edge_list_parse_errors_and_comments() {
-        assert!(from_edge_list("0 x", 0).is_err());
-        assert!(from_edge_list("0", 0).is_err());
-        let g = from_edge_list("# comment\n\n0 1\n", 5).unwrap();
-        assert_eq!(g.node_count(), 5);
-        assert_eq!(g.edge_count(), 1);
-    }
-
-    #[test]
-    fn empty_edge_list() {
-        let g = from_edge_list("", 0).unwrap();
-        assert_eq!(g.node_count(), 0);
     }
 }

@@ -1,13 +1,14 @@
 //! Deterministic fault injection: serializable failure timelines and the
-//! view that masks them.
+//! per-epoch states that mask them.
 //!
 //! The resilience experiments need richer failure processes than
 //! "remove k brokers": link cuts, IXP outages taking every membership
 //! edge down at once, correlated regional failures, and churn where
 //! elements *recover*. A [`FaultSchedule`] captures such a process as an
 //! epochal event timeline — plain data, serializable, replayable — and a
-//! [`FaultView`] masks the elements failed at a given epoch so every
-//! engine entry point ([`crate::with_arena`], [`crate::with_msbfs`], the
+//! [`crate::MaskedView`] over a [`FaultState`]'s failed vertices and cut
+//! edges masks the elements failed at a given epoch, so every engine
+//! entry point ([`crate::with_arena`], [`crate::with_msbfs`], the
 //! [`crate::par`] executor) runs unchanged over the degraded topology.
 //!
 //! Three target kinds exist:
@@ -18,7 +19,7 @@
 //!   vanishes; both endpoints stay up.
 //! - **Broker** — a *role* failure: the vertex stays in the graph and
 //!   keeps forwarding, but loses whatever supervisory role the caller
-//!   assigned it (broker defection, in the paper's terms). [`FaultView`]
+//!   assigned it (broker defection, in the paper's terms). The mask
 //!   deliberately ignores broker failures — interpreting the role is the
 //!   broker-set layer's job via [`FaultState::failed_brokers`].
 //!
@@ -32,7 +33,6 @@
 //! across thread counts and serialize/deserialize round trips.
 
 use crate::validate::{AuditReport, Validate};
-use crate::view::GraphView;
 use crate::{undirected_key, NodeId, NodeSet};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -333,18 +333,18 @@ impl FaultState {
         self.epoch
     }
 
-    /// Vertices currently down (masked by [`FaultView`]).
+    /// Vertices currently down (masked by [`crate::MaskedView`]).
     pub fn failed_nodes(&self) -> &NodeSet {
         &self.failed_nodes
     }
 
-    /// Undirected edges currently cut (masked by [`FaultView`]).
+    /// Undirected edges currently cut (masked by [`crate::MaskedView`]).
     pub fn failed_edges(&self) -> &BTreeSet<(u32, u32)> {
         &self.failed_edges
     }
 
     /// Vertices whose broker role is currently failed (NOT masked by
-    /// [`FaultView`]; the broker-set layer interprets these).
+    /// [`crate::MaskedView`]; the broker-set layer interprets these).
     pub fn failed_brokers(&self) -> &NodeSet {
         &self.failed_brokers
     }
@@ -398,68 +398,21 @@ fn set(s: &mut NodeSet, v: NodeId, on: bool) {
     }
 }
 
-/// An inner view minus the elements failed in a [`FaultState`]: failed
-/// vertices vanish (with every incident edge) and cut edges vanish.
-/// Broker-role failures are invisible here by design.
-///
-/// Composes like [`crate::MaskedView`]: wrap a
-/// [`crate::DominatedView`] to traverse the degraded dominated edge set,
-/// or a [`crate::FullView`] for plain degraded reachability. Masking by
-/// vertices and undirected edges preserves adjacency symmetry, so
-/// push/pull direction optimization in [`crate::msbfs`] stays valid
-/// exactly when it was valid for the inner view.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultView<'a, V> {
-    inner: V,
-    state: &'a FaultState,
-}
-
-impl<'a, V: GraphView> FaultView<'a, V> {
-    /// Mask `inner` by the elements failed in `state`.
-    pub fn new(inner: V, state: &'a FaultState) -> Self {
-        FaultView { inner, state }
-    }
-}
-
-impl<V: GraphView> GraphView for FaultView<'_, V> {
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    #[inline]
-    fn for_each_neighbor(&self, u: NodeId, mut visit: impl FnMut(NodeId)) {
-        if self.state.failed_nodes.contains(u) {
-            return;
-        }
-        let check_edges = !self.state.failed_edges.is_empty();
-        self.inner.for_each_neighbor(u, |v| {
-            if self.state.failed_nodes.contains(v) {
-                return;
-            }
-            if check_edges && self.state.failed_edges.contains(&undirected_key(u, v)) {
-                return;
-            }
-            visit(v);
-        });
-    }
-
-    #[inline]
-    fn contains_node(&self, v: NodeId) -> bool {
-        self.inner.contains_node(v) && !self.state.failed_nodes.contains(v)
-    }
-
-    fn is_symmetric(&self) -> bool {
-        // Vertex and undirected-edge masks are symmetric in (u, v).
-        self.inner.is_symmetric()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::from_edges;
-    use crate::view::FullView;
+    use crate::view::{FullView, GraphView, MaskedView};
     use crate::Graph;
+
+    /// The full graph minus the vertices and edges `state` has failed.
+    fn masked<'a>(g: &'a Graph, state: &'a FaultState) -> MaskedView<'a, FullView<'a>> {
+        MaskedView::new(
+            FullView::new(g),
+            Some(state.failed_nodes()),
+            Some(state.failed_edges()),
+        )
+    }
 
     fn collect<V: GraphView>(view: &V, u: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
@@ -511,14 +464,14 @@ mod tests {
         let mut sched = FaultSchedule::new(4);
         sched.fail_node(1, NodeId(2));
         let state = sched.state_at(1);
-        let view = FaultView::new(FullView::new(&g), &state);
+        let view = masked(&g, &state);
         assert!(!view.contains_node(NodeId(2)));
         assert_eq!(collect(&view, NodeId(1)), vec![NodeId(0)]);
         assert!(collect(&view, NodeId(2)).is_empty());
         assert!(view.is_symmetric());
         // Before the event the view is transparent.
         let clear = sched.state_at(0);
-        let view = FaultView::new(FullView::new(&g), &clear);
+        let view = masked(&g, &clear);
         assert!(view.contains_node(NodeId(2)));
         assert_eq!(collect(&view, NodeId(1)).len(), 2);
     }
@@ -530,12 +483,12 @@ mod tests {
         sched.fail_edge(1, NodeId(1), NodeId(0));
         sched.recover_edge(3, NodeId(0), NodeId(1));
         let cut = sched.state_at(2);
-        let view = FaultView::new(FullView::new(&g), &cut);
+        let view = masked(&g, &cut);
         assert_eq!(collect(&view, NodeId(0)), vec![NodeId(3)]);
         assert_eq!(collect(&view, NodeId(1)), vec![NodeId(2)]);
         let back = sched.state_at(3);
         assert!(back.is_clear());
-        let view = FaultView::new(FullView::new(&g), &back);
+        let view = masked(&g, &back);
         assert_eq!(collect(&view, NodeId(0)).len(), 2);
     }
 
@@ -547,7 +500,7 @@ mod tests {
         let state = sched.state_at(0);
         assert!(state.failed_brokers().contains(NodeId(1)));
         assert!(!state.is_clear());
-        let view = FaultView::new(FullView::new(&g), &state);
+        let view = masked(&g, &state);
         assert!(view.contains_node(NodeId(1)));
         assert_eq!(collect(&view, NodeId(1)).len(), 2);
     }
@@ -566,7 +519,7 @@ mod tests {
         let down = sched.state_at(1);
         assert!(down.failed_nodes().contains(NodeId(3)));
         assert!(down.failed_edges().contains(&(1, 2)));
-        let view = FaultView::new(FullView::new(&g), &down);
+        let view = masked(&g, &down);
         assert!(collect(&view, NodeId(2)).is_empty()); // 2-1 cut, 2-3 node down
         let up = sched.state_at(2);
         assert!(up.is_clear());
@@ -649,13 +602,13 @@ mod tests {
     }
 
     #[test]
-    fn fault_view_composes_with_engine_and_msbfs() {
+    fn fault_mask_composes_with_engine_and_msbfs() {
         // Path 0-1-2-3-4; cut 2-3 at epoch 1.
         let g = from_edges(5, (0..4).map(|i| (NodeId(i), NodeId(i + 1))));
         let mut sched = FaultSchedule::new(5);
         sched.fail_edge(1, NodeId(2), NodeId(3));
         let state = sched.state_at(1);
-        let view = FaultView::new(FullView::new(&g), &state);
+        let view = masked(&g, &state);
         let dist = crate::with_arena(|a| {
             a.run(view, NodeId(0));
             (0..5).map(|v| a.distance(NodeId(v))).collect::<Vec<_>>()

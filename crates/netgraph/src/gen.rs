@@ -40,48 +40,6 @@ pub fn erdos_renyi_gnm<R: Rng>(n: usize, m: usize, rng: &mut R) -> Graph {
     b.build()
 }
 
-/// Erdős–Rényi `G(n, p)`: each pair independently with probability `p`.
-///
-/// Uses geometric skipping, so sparse graphs cost `O(n + m)` rather than
-/// `O(n²)`.
-///
-/// # Panics
-///
-/// Panics unless `0 ≤ p ≤ 1`.
-pub fn erdos_renyi_gnp<R: Rng>(n: usize, p: f64, rng: &mut R) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0, 1], got {p}");
-    let mut b = GraphBuilder::new(n);
-    if p == 0.0 || n < 2 {
-        return b.build();
-    }
-    if p == 1.0 {
-        for u in 0..n {
-            for v in (u + 1)..n {
-                b.add_edge(NodeId::from(u), NodeId::from(v));
-            }
-        }
-        return b.build();
-    }
-    // Batagelj–Brandes: enumerate pairs (v, w) with w < v, skipping
-    // geometrically distributed gaps.
-    let log_q = (1.0 - p).ln();
-    let n = n as i64;
-    let mut v: i64 = 1;
-    let mut w: i64 = -1;
-    while v < n {
-        let r: f64 = rng.gen_range(f64::EPSILON..1.0);
-        w += 1 + ((1.0 - r).ln() / log_q).floor() as i64;
-        while w >= v && v < n {
-            w -= v;
-            v += 1;
-        }
-        if v < n {
-            b.add_edge(NodeId::from(v as usize), NodeId::from(w as usize));
-        }
-    }
-    b.build()
-}
-
 /// Watts–Strogatz small world: ring lattice with `k` nearest neighbors on
 /// each side (so degree `2k`), each lattice edge rewired with probability
 /// `beta` to a uniform random endpoint.
@@ -205,27 +163,6 @@ mod tests {
     #[should_panic(expected = "infeasible")]
     fn gnm_too_many_edges_panics() {
         erdos_renyi_gnm(3, 4, &mut rng());
-    }
-
-    #[test]
-    fn gnp_expected_density() {
-        let n = 300;
-        let p = 0.05;
-        let g = erdos_renyi_gnp(n, p, &mut rng());
-        let expected = p * (n * (n - 1) / 2) as f64;
-        let got = g.edge_count() as f64;
-        assert!(
-            (got - expected).abs() < 4.0 * expected.sqrt() + 10.0,
-            "edge count {got} too far from expectation {expected}"
-        );
-    }
-
-    #[test]
-    fn gnp_extremes() {
-        assert_eq!(erdos_renyi_gnp(10, 0.0, &mut rng()).edge_count(), 0);
-        assert_eq!(erdos_renyi_gnp(5, 1.0, &mut rng()).edge_count(), 10);
-        assert_eq!(erdos_renyi_gnp(1, 0.5, &mut rng()).edge_count(), 0);
-        assert_eq!(erdos_renyi_gnp(0, 0.5, &mut rng()).node_count(), 0);
     }
 
     #[test]

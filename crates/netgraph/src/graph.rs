@@ -221,11 +221,6 @@ impl GraphBuilder {
         self.nodes
     }
 
-    /// Number of edge insertions so far (before deduplication).
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Grow the vertex set to at least `nodes` vertices.
     pub fn grow_to(&mut self, nodes: usize) {
         self.nodes = self.nodes.max(nodes);
@@ -257,7 +252,7 @@ impl GraphBuilder {
     }
 
     /// Record many edges at once.
-    pub fn extend_edges<I: IntoIterator<Item = (NodeId, NodeId)>>(&mut self, iter: I) {
+    fn extend_edges<I: IntoIterator<Item = (NodeId, NodeId)>>(&mut self, iter: I) {
         for (u, v) in iter {
             self.add_edge(u, v);
         }
@@ -356,151 +351,6 @@ impl Graph {
             neighbors,
             edges,
         }
-    }
-}
-
-/// A [`Graph`] re-laid-out under a deterministic cache-aware vertex
-/// permutation, together with the round-trip node-id mapping.
-///
-/// Built by [`Graph::permute_by_degree`]: vertices are relabeled in
-/// degree-descending order (ties broken by ascending original id), which
-/// packs the hub adjacency lists — the rows every BFS touches most — into
-/// the front of the CSR arrays where they share cache lines. The handle
-/// owns the permuted graph plus both directions of the mapping, so
-/// callers run algorithms on [`Permuted::graph`] in the permuted id
-/// space and translate inputs with [`Permuted::map_set`] /
-/// [`Permuted::to_new`] and results back with [`Permuted::to_old`] /
-/// [`Permuted::unpermute`] — **all public results stay in original
-/// ids**.
-///
-/// The permutation relabels vertices of the *same* edge set, so any
-/// label-invariant aggregate (l-hop coverage counts, connected-pair
-/// totals, degree histograms) is bit-identical between the two layouts;
-/// the determinism suites pin exactly that.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Permuted {
-    graph: Graph,
-    /// `old_of_new[new]` = original id of permuted vertex `new`.
-    old_of_new: Vec<NodeId>,
-    /// `new_of_old[old]` = permuted id of original vertex `old`.
-    new_of_old: Vec<u32>,
-}
-
-impl Graph {
-    /// Compute the deterministic degree-descending permutation of this
-    /// graph once and re-lay the CSR out under it.
-    ///
-    /// The order is a pure function of the graph (degree descending,
-    /// ties by ascending original id — no RNG, no hashing), so repeated
-    /// calls and different builds produce the identical layout.
-    pub fn permute_by_degree(&self) -> Permuted {
-        let n = self.node_count();
-        let mut old_of_new: Vec<NodeId> = self.nodes().collect();
-        old_of_new.sort_by_key(|&v| (std::cmp::Reverse(self.degree(v)), v.0));
-        let mut new_of_old = vec![0u32; n];
-        for (new, &old) in old_of_new.iter().enumerate() {
-            new_of_old[old.index()] = new as u32;
-        }
-        let mut b = GraphBuilder::with_capacity(n, self.edge_count());
-        for (u, v) in self.edges() {
-            b.add_edge(NodeId(new_of_old[u.index()]), NodeId(new_of_old[v.index()]));
-        }
-        let p = Permuted {
-            graph: b.build(),
-            old_of_new,
-            new_of_old,
-        };
-        // Construction-boundary audit (debug builds only), like every
-        // other constructor in the workspace.
-        crate::validate::debug_validate(&p);
-        p
-    }
-}
-
-impl Permuted {
-    /// The permuted-layout graph. Vertex `v` here is original vertex
-    /// [`to_old`](Permuted::to_old)`(v)`.
-    #[inline]
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// Original id -> permuted id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `old` is out of range.
-    #[inline]
-    pub fn to_new(&self, old: NodeId) -> NodeId {
-        NodeId(self.new_of_old[old.index()])
-    }
-
-    /// Permuted id -> original id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new` is out of range.
-    #[inline]
-    pub fn to_old(&self, new: NodeId) -> NodeId {
-        self.old_of_new[new.index()]
-    }
-
-    /// Translate a set of original ids (a broker set, a failure mask)
-    /// into the permuted id space.
-    pub fn map_set(&self, set: &crate::NodeSet) -> crate::NodeSet {
-        let mut mapped = crate::NodeSet::new(self.graph.node_count());
-        for old in set.iter() {
-            mapped.insert(self.to_new(old));
-        }
-        mapped
-    }
-
-    /// Reorder a per-vertex result vector from permuted layout back to
-    /// original ids: `out[old] = per_new[to_new(old)]`.
-    pub fn unpermute<T: Clone>(&self, per_new: &[T]) -> Vec<T> {
-        assert_eq!(per_new.len(), self.graph.node_count());
-        (0..per_new.len())
-            .map(|old| per_new[self.new_of_old[old] as usize].clone())
-            .collect()
-    }
-}
-
-impl crate::Validate for Permuted {
-    /// Re-derive the permutation invariants: the two mappings are
-    /// mutually inverse bijections over `0..n`, and the layout order is
-    /// exactly degree-descending with ascending-original-id ties.
-    fn audit(&self) -> crate::AuditReport {
-        let mut rep = crate::AuditReport::new("netgraph::Permuted");
-        let n = self.graph.node_count();
-        rep.check(
-            "permuted.mapping-lengths",
-            self.old_of_new.len() == n && self.new_of_old.len() == n,
-            || {
-                format!(
-                    "mappings cover {} / {} ids for {n} vertices",
-                    self.old_of_new.len(),
-                    self.new_of_old.len()
-                )
-            },
-        );
-        let round_trips = self
-            .old_of_new
-            .iter()
-            .enumerate()
-            .all(|(new, &old)| old.index() < n && self.new_of_old[old.index()] as usize == new);
-        rep.check("permuted.bijection", round_trips, || {
-            "old_of_new / new_of_old are not mutually inverse".to_string()
-        });
-        let ordered = self.old_of_new.windows(2).enumerate().all(|(new, w)| {
-            let (da, db) = (self.graph.degree(NodeId(new as u32)), {
-                self.graph.degree(NodeId(new as u32 + 1))
-            });
-            da > db || (da == db && w[0].0 < w[1].0)
-        });
-        rep.check("permuted.degree-order", ordered, || {
-            "layout is not degree-descending with ascending-id ties".to_string()
-        });
-        rep
     }
 }
 
@@ -674,57 +524,5 @@ mod tests {
         let json = serde_json::to_string(&g).unwrap();
         let g2: Graph = serde_json::from_str(&json).unwrap();
         assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn permute_by_degree_orders_and_round_trips() {
-        use crate::Validate;
-        // Star centered on 3 plus chord 0-2: degrees 3:4, then 0 and 2
-        // tied at 2, then 1 and 4 tied at 1 — ties break by ascending
-        // original id.
-        let g = from_edges(
-            5,
-            [pair(3, 0), pair(3, 1), pair(3, 2), pair(3, 4), pair(0, 2)],
-        );
-        let p = g.permute_by_degree();
-        assert!(p.audit().is_ok());
-        assert_eq!(p.to_new(NodeId(3)), NodeId(0), "hub relabels to slot 0");
-        // Degree-2 tie resolves by original id: 0 before 2.
-        assert_eq!(p.to_new(NodeId(0)), NodeId(1));
-        assert_eq!(p.to_new(NodeId(2)), NodeId(2));
-        // Degree-1 tie likewise: 1 before 4.
-        assert_eq!(p.to_new(NodeId(1)), NodeId(3));
-        assert_eq!(p.to_new(NodeId(4)), NodeId(4));
-        for v in g.nodes() {
-            assert_eq!(p.to_old(p.to_new(v)), v);
-            assert_eq!(g.degree(v), p.graph().degree(p.to_new(v)));
-        }
-        // Degrees are non-increasing in the new id space.
-        let degs: Vec<usize> = p.graph().nodes().map(|v| p.graph().degree(v)).collect();
-        assert!(degs.windows(2).all(|w| w[0] >= w[1]));
-        // Every original edge survives under the mapping, and nothing else.
-        assert_eq!(p.graph().edge_count(), g.edge_count());
-        for (u, v) in g.edges() {
-            assert!(p.graph().has_edge(p.to_new(u), p.to_new(v)));
-        }
-    }
-
-    #[test]
-    fn permuted_map_set_and_unpermute() {
-        let g = from_edges(4, [pair(0, 1), pair(1, 2), pair(1, 3)]);
-        let p = g.permute_by_degree();
-        let mut set = crate::NodeSet::new(4);
-        set.insert(NodeId(0));
-        set.insert(NodeId(3));
-        let mapped = p.map_set(&set);
-        assert_eq!(mapped.len(), 2);
-        for old in set.iter() {
-            assert!(mapped.contains(p.to_new(old)));
-        }
-        // A per-node vector computed in the new id space unpermutes back
-        // to original-id order.
-        let per_new: Vec<u32> = (0..4).map(|new| p.to_old(NodeId(new)).0 * 10).collect();
-        let per_old = p.unpermute(&per_new);
-        assert_eq!(per_old, vec![0, 10, 20, 30]);
     }
 }

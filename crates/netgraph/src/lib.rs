@@ -38,7 +38,7 @@
 //! - [`graph`] — the CSR graph and its builder.
 //! - [`nodeset`] — dense bitset over node ids, the working currency of the
 //!   coverage algorithms.
-//! - [`view`] — zero-cost graph views (full, broker-dominated, induced,
+//! - [`view`] — zero-cost graph views (full, broker-dominated,
 //!   failure-masked) the traversal engine is generic over.
 //! - [`traverse`] — the traversal engine: pooled [`TraversalArena`] BFS over
 //!   any view (single source, multi source, bounded, early-exit), plus
@@ -47,17 +47,16 @@
 //!   with direction-optimizing (push/pull) frontier expansion.
 //! - [`par`] — deterministic parallel executor for per-source fan-out.
 //! - [`delta`] — epochal topology deltas: serializable [`GraphDelta`]
-//!   edits, rebuild-with-diff application and the [`DeltaView`] overlay.
-//! - [`mod@dijkstra`] — weighted shortest paths.
+//!   edits and their rebuild-with-diff application.
 //! - [`components`] — connected components and a union-find.
 //! - [`fault`] — deterministic fault injection: serializable epochal
 //!   [`fault::FaultSchedule`]s (node/edge/broker/group failures and
-//!   recoveries) and the [`fault::FaultView`] that masks them.
-//! - [`centrality`] — degree, PageRank, k-core decomposition.
+//!   recoveries) whose per-epoch [`FaultState`] a [`MaskedView`] masks.
+//! - [`centrality`] — PageRank, k-core decomposition, top-k ranking.
 //! - [`gen`] — Erdős–Rényi, Watts–Strogatz, Barabási–Albert generators.
 //! - [`alphabeta`] — (α, β)-graph property estimation (Definition 2 of the
 //!   paper).
-//! - [`export`] — DOT / edge-list export for visualization.
+//! - [`export`] — DOT export for visualization.
 //! - [`obs`] — always-on observability: [`counter!`], [`histogram!`]
 //!   and [`span!`] macros plus the JSON-serializable [`obs::Snapshot`].
 
@@ -69,8 +68,6 @@ pub mod alphabeta;
 pub mod centrality;
 pub mod components;
 pub mod delta;
-pub mod dijkstra;
-pub mod error;
 pub mod export;
 pub mod fault;
 pub mod fnv;
@@ -85,25 +82,20 @@ pub mod traverse;
 pub mod validate;
 pub mod view;
 
-pub use alphabeta::{estimate_alpha, hop_histogram, AlphaBetaEstimate, HopHistogram};
-pub use centrality::{coreness, degree_sequence, pagerank, top_by_score, PageRankConfig};
+pub use alphabeta::{estimate_alpha, AlphaBetaEstimate, HopHistogram};
+pub use centrality::{coreness, pagerank, top_by_score, PageRankConfig};
 pub use components::{connected_components, view_components, Components, UnionFind};
-pub use delta::{DeltaView, GraphDelta};
-pub use dijkstra::{dijkstra, WeightedGraph};
-pub use error::GraphError;
-pub use export::{to_dot, to_edge_list};
-pub use fault::{
-    FaultAction, FaultEvent, FaultGroup, FaultSchedule, FaultState, FaultTarget, FaultView,
-};
+pub use delta::GraphDelta;
+pub use export::to_dot;
+pub use fault::{FaultAction, FaultEvent, FaultGroup, FaultSchedule, FaultState, FaultTarget};
 pub use fnv::{fnv1a, fnv1a_words};
-pub use gen::{barabasi_albert, erdos_renyi_gnm, erdos_renyi_gnp, watts_strogatz};
-pub use graph::{undirected_key, Graph, GraphBuilder, NodeId, Permuted};
+pub use gen::{barabasi_albert, erdos_renyi_gnm, watts_strogatz};
+pub use graph::{undirected_key, Graph, GraphBuilder, NodeId};
 pub use metrics::{
-    betweenness, betweenness_threaded, closeness, closeness_threaded, clustering_coefficients,
     degree_assortativity, degree_stats, diameter_lower_bound, mean_clustering, DegreeStats,
 };
 pub use msbfs::{msbfs_distances, with_msbfs, LaneSet, MsBfsArena, Wavefront};
 pub use nodeset::NodeSet;
 pub use traverse::{bfs_distances, bfs_parents, with_arena, TraversalArena};
 pub use validate::{debug_validate, AuditReport, Finding, Validate};
-pub use view::{DominatedView, FullView, GraphView, InducedView, MaskedView};
+pub use view::{DominatedView, FullView, GraphView, MaskedView};

@@ -1,131 +1,17 @@
-//! Structural metrics: betweenness centrality, clustering coefficient,
-//! degree-distribution statistics and diameter estimation.
+//! Structural metrics: clustering coefficient, degree-distribution
+//! statistics, degree assortativity and diameter estimation.
 //!
 //! Fig. 1 of the paper characterizes the AS-level Internet as a
 //! scale-free, layered network with IXPs at core and edge; these metrics
-//! are what that characterization is made of, and they also power the
-//! betweenness-based selection baseline.
+//! are what that characterization is made of.
 
-use crate::msbfs::{self, with_msbfs};
-use crate::traverse::{with_arena, TraversalArena};
+use crate::traverse::with_arena;
 use crate::view::FullView;
-use crate::{par, Graph, NodeId};
-use rand::seq::SliceRandom;
-use rand::Rng;
+use crate::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 
-/// Brandes betweenness centrality (unweighted).
-///
-/// With `sources = None` every vertex seeds a BFS (exact, `O(nm)`);
-/// otherwise only the sampled sources do, giving the standard unbiased
-/// estimate scaled by `n / |sources|`. Sequential; see
-/// [`betweenness_threaded`] for the parallel entry point (identical
-/// results by the executor's determinism contract).
-pub fn betweenness<R: Rng>(g: &Graph, sources: Option<usize>, rng: &mut R) -> Vec<f64> {
-    betweenness_threaded(g, sources, rng, 1)
-}
-
-/// [`betweenness`] with the per-source fan-out run on `threads` workers
-/// (`0` = all hardware threads) via [`crate::par`]. Bit-identical across
-/// thread counts: seeds are chunked at a fixed size and per-chunk partial
-/// centrality vectors are merged in chunk-index order.
-pub fn betweenness_threaded<R: Rng>(
-    g: &Graph,
-    sources: Option<usize>,
-    rng: &mut R,
-    threads: usize,
-) -> Vec<f64> {
-    let n = g.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let seeds: Vec<NodeId> = match sources {
-        None => g.nodes().collect(),
-        Some(s) => {
-            let mut all: Vec<NodeId> = g.nodes().collect();
-            all.shuffle(rng);
-            all.truncate(s.max(1).min(n));
-            all
-        }
-    };
-    let scale = n as f64 / seeds.len() as f64;
-
-    let mut centrality = par::map_reduce(
-        &seeds,
-        par::DEFAULT_CHUNK,
-        threads,
-        |chunk| {
-            let mut centrality = vec![0.0f64; n];
-            let mut sigma = vec![0.0f64; n];
-            let mut delta = vec![0.0f64; n];
-            with_arena(|arena| {
-                for &s in chunk {
-                    brandes_source(g, s, scale, arena, &mut sigma, &mut delta, &mut centrality);
-                }
-            });
-            centrality
-        },
-        vec![0.0f64; n],
-        |mut acc, part| {
-            for (c, p) in acc.iter_mut().zip(part) {
-                *c += p;
-            }
-            acc
-        },
-    );
-    // Undirected graphs count each pair twice.
-    centrality.iter_mut().for_each(|c| *c /= 2.0);
-    centrality
-}
-
-/// One Brandes round: BFS from `s` on the engine arena, path counts in
-/// visit order, dependency accumulation in reverse visit order.
-fn brandes_source(
-    g: &Graph,
-    s: NodeId,
-    scale: f64,
-    arena: &mut TraversalArena,
-    sigma: &mut [f64],
-    delta: &mut [f64],
-    centrality: &mut [f64],
-) {
-    arena.run(FullView::new(g), s);
-    let order = arena.visit_order();
-    // Path counts. BFS order guarantees every vertex at distance d - 1 is
-    // processed before any at distance d, so `sigma` of all predecessors
-    // is final when we read it. Stale values from earlier rounds are never
-    // read: predecessors are reached this round, hence assigned below.
-    sigma[s.index()] = 1.0;
-    for &v in &order[1..] {
-        let dv = arena.distance(v).unwrap_or(0);
-        let mut sv = 0.0;
-        for &u in g.neighbors(v) {
-            if arena.distance(u).is_some_and(|du| du + 1 == dv) {
-                sv += sigma[u.index()];
-            }
-        }
-        sigma[v.index()] = sv;
-    }
-    // Dependency accumulation in reverse BFS order.
-    for &w in order.iter().rev() {
-        let dw = arena.distance(w).unwrap_or(0);
-        for &v in g.neighbors(w) {
-            if arena.distance(v).is_some_and(|dv| dv + 1 == dw) {
-                delta[v.index()] += sigma[v.index()] / sigma[w.index()] * (1.0 + delta[w.index()]);
-            }
-        }
-        if w != s {
-            centrality[w.index()] += scale * delta[w.index()];
-        }
-    }
-    // Reset only what this round touched; `delta` accumulates with `+=`.
-    for &v in order {
-        delta[v.index()] = 0.0;
-    }
-}
-
 /// Local clustering coefficient of every vertex (triangles over wedges).
-pub fn clustering_coefficients(g: &Graph) -> Vec<f64> {
+fn clustering_coefficients(g: &Graph) -> Vec<f64> {
     g.nodes()
         .map(|v| {
             let nb = g.neighbors(v);
@@ -213,94 +99,6 @@ pub fn degree_stats(g: &Graph, tail_fraction: f64) -> DegreeStats {
     }
 }
 
-/// Closeness centrality: `(reachable - 1) ² / ((n - 1) · Σ d(v, u))`
-/// (Wasserman–Faust normalization, robust to disconnected graphs).
-///
-/// With `sources = Some(s)` the distance sums are estimated from `s`
-/// sampled BFS *targets* — acceptable for ranking, exact when
-/// `sources = None`.
-pub fn closeness<R: Rng>(g: &Graph, sources: Option<usize>, rng: &mut R) -> Vec<f64> {
-    closeness_threaded(g, sources, rng, 1)
-}
-
-/// [`closeness`] with the per-target fan-out run on `threads` workers
-/// (`0` = all hardware threads) via [`crate::par`]. The per-vertex
-/// distance sums are integer-valued, so the chunk-ordered merge is exact
-/// and results match the sequential path bit for bit.
-pub fn closeness_threaded<R: Rng>(
-    g: &Graph,
-    sources: Option<usize>,
-    rng: &mut R,
-    threads: usize,
-) -> Vec<f64> {
-    let n = g.node_count();
-    if n <= 1 {
-        return vec![0.0; n];
-    }
-    // BFS from sampled "targets" accumulates, for every vertex v, the sum
-    // of distances target->v — by symmetry that estimates v's distance
-    // sum.
-    let targets: Vec<NodeId> = match sources {
-        None => g.nodes().collect(),
-        Some(s) => {
-            let mut all: Vec<NodeId> = g.nodes().collect();
-            all.shuffle(rng);
-            all.truncate(s.max(1).min(n));
-            all
-        }
-    };
-    let scale = n as f64 / targets.len() as f64;
-    let (dist_sum, reach_cnt) = par::map_reduce(
-        &targets,
-        par::DEFAULT_CHUNK,
-        threads,
-        |chunk| {
-            let mut dist_sum = vec![0.0f64; n];
-            let mut reach_cnt = vec![0u32; n];
-            // Each chunk is at most one 64-lane msbfs batch (DEFAULT_CHUNK =
-            // LANES); a vertex discovered at `level` by `c` lanes contributes
-            // `level` to `c` distance sums at once. The increments are small
-            // integers (exact in f64), so grouping lanes cannot change the
-            // accumulated bits versus the historical one-BFS-per-target loop.
-            with_msbfs(|arena| {
-                for batch in chunk.chunks(msbfs::LANES) {
-                    arena.run(FullView::new(g), batch, u32::MAX, |wf| {
-                        let level = wf.level();
-                        if level == 0 {
-                            return; // self pairs, excluded
-                        }
-                        wf.for_each_new(|v, lanes| {
-                            let c = lanes.count();
-                            dist_sum[v.index()] += f64::from(level * c);
-                            reach_cnt[v.index()] += c;
-                        });
-                    });
-                }
-            });
-            (dist_sum, reach_cnt)
-        },
-        (vec![0.0f64; n], vec![0u32; n]),
-        |(mut ds_acc, mut rc_acc), (ds, rc)| {
-            for i in 0..n {
-                ds_acc[i] += ds[i];
-                rc_acc[i] += rc[i];
-            }
-            (ds_acc, rc_acc)
-        },
-    );
-    (0..n)
-        .map(|v| {
-            let sum = dist_sum[v] * scale;
-            let reach = (reach_cnt[v] as f64 * scale).min((n - 1) as f64);
-            if sum <= 0.0 {
-                0.0
-            } else {
-                (reach * reach) / ((n - 1) as f64 * sum)
-            }
-        })
-        .collect()
-}
-
 /// Degree assortativity (Pearson correlation of degrees across edges).
 ///
 /// The Internet is famously *disassortative* (hubs attach to low-degree
@@ -362,50 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn betweenness_path_center() {
-        // Path of 5: exact betweenness 0, 3, 4, 3, 0.
-        let g = path_graph(5);
-        let b = betweenness(&g, None, &mut ChaCha8Rng::seed_from_u64(1));
-        let expect = [0.0, 3.0, 4.0, 3.0, 0.0];
-        for (i, &e) in expect.iter().enumerate() {
-            assert!((b[i] - e).abs() < 1e-9, "vertex {i}: {} vs {e}", b[i]);
-        }
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn betweenness_star_hub() {
-        let g = from_edges(5, (1..5).map(|i| (NodeId(0), NodeId(i))));
-        let b = betweenness(&g, None, &mut ChaCha8Rng::seed_from_u64(1));
-        // Hub lies on all C(4,2) = 6 pairs.
-        assert!((b[0] - 6.0).abs() < 1e-9);
-        for leaf in 1..5 {
-            assert!(b[leaf].abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn betweenness_sampled_close_to_exact() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let g = crate::barabasi_albert(200, 3, &mut rng);
-        let exact = betweenness(&g, None, &mut rng);
-        let approx = betweenness(&g, Some(100), &mut rng);
-        // Rank agreement on the top vertex.
-        let top_exact = exact
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        let mut order: Vec<usize> = (0..200).collect();
-        order.sort_by(|&a, &b| approx[b].partial_cmp(&approx[a]).unwrap());
-        assert!(
-            order[..5].contains(&top_exact),
-            "sampled betweenness misses the top hub"
-        );
-    }
-
-    #[test]
     fn clustering_triangle_and_path() {
         let tri = from_edges(
             3,
@@ -446,53 +200,6 @@ mod tests {
         assert!(s.tail_exponent.is_none());
         let g = path_graph(5);
         assert!(degree_stats(&g, 0.5).tail_exponent.is_none()); // tail < 8
-    }
-
-    #[test]
-    fn closeness_path_center_and_star() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        // Path of 5: center is closest to everyone.
-        let g = path_graph(5);
-        let c = closeness(&g, None, &mut rng);
-        assert!(c[2] > c[1] && c[1] > c[0]);
-        assert!((c[0] - c[4]).abs() < 1e-12); // symmetry
-                                              // Star: hub maximal (closeness 1 under W-F normalization).
-        let star = from_edges(6, (1..6).map(|i| (NodeId(0), NodeId(i))));
-        let cs = closeness(&star, None, &mut rng);
-        assert!((cs[0] - 1.0).abs() < 1e-12);
-        for leaf in 1..6 {
-            assert!(cs[leaf] < cs[0]);
-        }
-    }
-
-    #[test]
-    fn closeness_disconnected_and_trivial() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let g = from_edges(4, [(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))]);
-        let c = closeness(&g, None, &mut rng);
-        // Each pair member reaches 1 of 3 others at distance 1:
-        // (1*1)/(3*1) = 1/3.
-        for cv in c.iter().take(4) {
-            assert!((cv - 1.0 / 3.0).abs() < 1e-12);
-        }
-        assert_eq!(
-            closeness(&from_edges(1, std::iter::empty()), None, &mut rng),
-            vec![0.0]
-        );
-    }
-
-    #[test]
-    fn closeness_sampled_ranks_hub_first() {
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let g = crate::barabasi_albert(300, 3, &mut rng);
-        let exact = closeness(&g, None, &mut rng);
-        let approx = closeness(&g, Some(80), &mut rng);
-        let top_exact = crate::top_by_score(&exact, 1)[0];
-        let top5: Vec<NodeId> = crate::top_by_score(&approx, 5);
-        assert!(
-            top5.contains(&top_exact),
-            "sampled closeness misses the hub"
-        );
     }
 
     #[test]

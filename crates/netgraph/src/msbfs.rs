@@ -137,12 +137,6 @@ impl Wavefront<'_> {
         self.newly
     }
 
-    /// Lanes that discovered `v` at this level. Empty for vertices not in
-    /// [`new_vertices`](Wavefront::new_vertices).
-    pub fn lanes_of(&self, v: NodeId) -> LaneSet {
-        LaneSet(self.masks[v.index()])
-    }
-
     /// Total `(source, vertex)` pairs discovered at this level — the sum
     /// of lane counts over the new vertices.
     pub fn new_pairs(&self) -> u64 {
@@ -322,11 +316,6 @@ impl MsBfsArena {
             level += 1;
         }
         discovered
-    }
-
-    /// Lanes that discovered `v` during the last run (at any level).
-    pub fn seen_lanes(&self, v: NodeId) -> LaneSet {
-        LaneSet(self.seen[v.index()])
     }
 
     /// Per-lane discovery totals from the last run: `reach[lane]` =
@@ -564,9 +553,9 @@ mod tests {
     #[test]
     fn excluded_sources_seed_nothing() {
         let g = path(4);
-        let mut allowed = NodeSet::full(4);
-        allowed.remove(NodeId(0));
-        let view = crate::view::InducedView::new(&g, &allowed);
+        let mut failed = NodeSet::new(4);
+        failed.insert(NodeId(0));
+        let view = crate::view::MaskedView::new(FullView::new(&g), Some(&failed), None);
         let dist = msbfs_distances(view, &[NodeId(0), NodeId(1)]);
         assert!(dist[0].iter().all(Option::is_none));
         assert_eq!(dist[1][3], Some(2));
@@ -590,18 +579,6 @@ mod tests {
         let want = reach(&mut arena, &ga);
         assert_eq!(reach(&mut arena, &gb), 3);
         assert_eq!(reach(&mut arena, &ga), want);
-    }
-
-    #[test]
-    fn seen_lanes_report_discoverers() {
-        let g = path(3);
-        with_msbfs(|arena| {
-            arena.run(FullView::new(&g), &[NodeId(0), NodeId(2)], 1, |_| {});
-            // Middle vertex reached by both lanes within 1 hop.
-            let lanes = arena.seen_lanes(NodeId(1));
-            assert!(lanes.contains(0) && lanes.contains(1));
-            assert_eq!(lanes.count(), 2);
-        });
     }
 
     #[test]

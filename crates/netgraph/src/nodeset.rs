@@ -146,21 +146,6 @@ impl NodeSet {
         self.len = 0;
     }
 
-    /// In-place union. Both sets must have the same capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics on capacity mismatch.
-    pub fn union_with(&mut self, other: &NodeSet) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        let mut len = 0usize;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-            len += a.count_ones() as usize;
-        }
-        self.len = len;
-    }
-
     /// In-place intersection. Both sets must have the same capacity.
     ///
     /// # Panics
@@ -202,20 +187,6 @@ impl NodeSet {
             .iter()
             .zip(&other.words)
             .map(|(a, b)| (a | b).count_ones() as usize)
-            .sum()
-    }
-
-    /// Number of members of `other` not already in `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on capacity mismatch.
-    pub fn count_new(&self, other: &NodeSet) -> usize {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (!a & b).count_ones() as usize)
             .sum()
     }
 
@@ -391,12 +362,7 @@ mod tests {
         let a = NodeSet::from_iter_with_capacity(100, [1, 2, 3].map(NodeId));
         let b = NodeSet::from_iter_with_capacity(100, [3, 4].map(NodeId));
 
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.len(), 4);
         assert_eq!(a.union_len(&b), 4);
-        assert_eq!(a.count_new(&b), 1);
-        assert_eq!(b.count_new(&a), 2);
 
         let mut i = a.clone();
         i.intersect_with(&b);
@@ -424,9 +390,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "capacity mismatch")]
-    fn union_capacity_mismatch_panics() {
+    fn difference_capacity_mismatch_panics() {
         let mut a = NodeSet::new(10);
         let b = NodeSet::new(20);
-        a.union_with(&b);
+        a.difference_with(&b);
     }
 }

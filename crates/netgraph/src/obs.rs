@@ -17,9 +17,9 @@
 //!   results are the same with or without anyone looking (the goldens and
 //!   pinned bench checksums hold that).
 //! - **Span timers** ([`span!`](crate::span)) are RAII guards that record
-//!   elapsed wall-clock nanoseconds into a histogram on drop, with a
-//!   thread-local nesting depth. This module is the only product-library
-//!   home of `std::time::Instant` (lint rule R8 enforces that).
+//!   elapsed wall-clock nanoseconds into a histogram on drop. This module
+//!   is the only product-library home of `std::time::Instant` (lint rule
+//!   R8 enforces that).
 //! - A [`Snapshot`] captures every registered metric, merged by name and
 //!   sorted, and serializes to JSON with a hand-rolled writer — snapshots
 //!   of the same program state are deterministic byte-for-byte.
@@ -36,7 +36,6 @@
 //! `par.chunks_per_worker`. Two macro call sites may share a name; their
 //! contributions merge in the snapshot.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once, OnceLock, PoisonError};
@@ -183,26 +182,15 @@ impl Histogram {
 
 /// An RAII span timer: created via [`span!`](crate::span), records
 /// the elapsed wall-clock nanoseconds into its histogram on drop.
-/// Spans nest; [`span_depth`] reports this thread's current depth.
 #[derive(Debug)]
 pub struct Span {
     hist: &'static Histogram,
     start: Instant,
 }
 
-thread_local! {
-    static SPAN_DEPTH: Cell<u32> = const { Cell::new(0) };
-}
-
-/// This thread's current span-nesting depth (0 outside any span).
-pub fn span_depth() -> u32 {
-    SPAN_DEPTH.with(Cell::get)
-}
-
 impl Span {
     /// Start timing; the guard records into `hist` when dropped.
     pub fn start(hist: &'static Histogram) -> Span {
-        SPAN_DEPTH.with(|d| d.set(d.get() + 1));
         Span {
             hist,
             start: Instant::now(),
@@ -214,7 +202,6 @@ impl Drop for Span {
     fn drop(&mut self) {
         let ns = self.start.elapsed().as_nanos();
         self.hist.record(u64::try_from(ns).unwrap_or(u64::MAX));
-        SPAN_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
     }
 }
 

@@ -1,7 +1,7 @@
 //! Deterministic parallel executor for embarrassingly parallel sweeps.
 //!
-//! Every hot path in the evaluation — exact l-hop curves, Brandes
-//! betweenness, chaos traces, index shards — is a map over independent
+//! Every hot path in the evaluation — exact l-hop curves, chaos traces,
+//! directional connectivity, index shards — is a map over independent
 //! items (BFS sources, failure epochs) whose results are merged. This
 //! module runs such maps on **scoped threads** with three guarantees:
 //!
@@ -318,7 +318,7 @@ mod tests {
 
     #[test]
     fn map_reduce_vector_accumulator() {
-        // Vector-valued accumulators (the betweenness merge shape).
+        // Vector-valued accumulators (the per-vertex merge shape).
         let items: Vec<usize> = (0..200).collect();
         let hist = map_reduce(
             &items,

@@ -116,8 +116,8 @@ impl TraversalArena {
     }
 
     /// Predecessor of `v` in the last parent-tracking traversal
-    /// ([`TraversalArena::run_parents`] /
-    /// [`TraversalArena::run_to_target`]); the source is its own parent.
+    /// ([`TraversalArena::run_to_target`], or the full-tree run behind
+    /// [`bfs_parents`]); the source is its own parent.
     /// `None` if `v` was not reached or parents were not tracked.
     #[inline]
     pub fn parent(&self, v: NodeId) -> Option<NodeId> {
@@ -149,7 +149,7 @@ impl TraversalArena {
     /// query [`TraversalArena::parent`] / [`TraversalArena::path_to`].
     /// Returns the number of reached vertices (0 when the view excludes
     /// `src`).
-    pub fn run_parents<V: GraphView>(&mut self, view: V, src: NodeId) -> usize {
+    fn run_parents<V: GraphView>(&mut self, view: V, src: NodeId) -> usize {
         self.expand(view, src, u32::MAX, true)
     }
 
@@ -403,7 +403,7 @@ impl crate::Validate for TraversalArena {
 mod tests {
     use super::*;
     use crate::graph::from_edges;
-    use crate::view::{DominatedView, InducedView};
+    use crate::view::{DominatedView, MaskedView};
     use crate::NodeSet;
 
     fn path_graph(n: u32) -> Graph {
@@ -435,15 +435,17 @@ mod tests {
 
     #[test]
     fn restricted_bfs_respects_mask() {
-        // 0-1-2-3-4 plus shortcut 0-4; mask forbids the shortcut's far end
-        // middle: allowed = {0, 1, 2, 3, 4} minus {2}.
+        // 0-1-2-3-4 plus shortcut 0-4; the mask fails the middle vertex 2.
         let mut edges: Vec<(NodeId, NodeId)> = (0..4).map(|i| (NodeId(i), NodeId(i + 1))).collect();
         edges.push((NodeId(0), NodeId(4)));
         let g = from_edges(5, edges);
-        let mut allowed = NodeSet::full(5);
-        allowed.remove(NodeId(2));
+        let mut failed = NodeSet::new(5);
+        failed.insert(NodeId(2));
         let mut arena = TraversalArena::new();
-        arena.run(InducedView::new(&g, &allowed), NodeId(0));
+        arena.run(
+            MaskedView::new(FullView::new(&g), Some(&failed), None),
+            NodeId(0),
+        );
         assert_eq!(arena.distance(NodeId(1)), Some(1));
         assert_eq!(arena.distance(NodeId(2)), None); // masked out
         assert_eq!(arena.distance(NodeId(4)), Some(1)); // via shortcut
@@ -453,9 +455,10 @@ mod tests {
     #[test]
     fn restricted_bfs_source_not_allowed() {
         let g = path_graph(3);
-        let allowed = NodeSet::new(3);
+        let failed = NodeSet::full(3);
         let mut arena = TraversalArena::new();
-        assert_eq!(arena.run(InducedView::new(&g, &allowed), NodeId(0)), 0);
+        let view = MaskedView::new(FullView::new(&g), Some(&failed), None);
+        assert_eq!(arena.run(view, NodeId(0)), 0);
         assert_eq!(arena.distance(NodeId(0)), None);
     }
 

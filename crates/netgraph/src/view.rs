@@ -15,10 +15,10 @@
 //! - [`FullView`] — the unfiltered graph.
 //! - [`DominatedView`] — an edge survives iff at least one endpoint is a
 //!   broker (`E_B = {(u, v) ∈ E : u ∈ B ∨ v ∈ B}`).
-//! - [`InducedView`] — the subgraph induced by an allowed vertex set.
 //! - [`MaskedView`] — any inner view minus failed vertices and/or failed
 //!   (undirected) edges; composes, e.g. `MaskedView` over `DominatedView`
-//!   for failover planning.
+//!   for failover planning and for the fault epochs of a
+//!   [`crate::FaultSchedule`].
 //!
 //! Downstream crates implement [`GraphView`] for their own state spaces —
 //! the routing crate's valley-free reachability runs the same engine over
@@ -152,52 +152,11 @@ impl GraphView for DominatedView<'_> {
     }
 }
 
-/// The subgraph induced by an allowed vertex set: only edges with both
-/// endpoints allowed survive, and disallowed vertices are not valid
-/// sources.
-#[derive(Debug, Clone, Copy)]
-pub struct InducedView<'a> {
-    g: &'a Graph,
-    allowed: &'a NodeSet,
-}
-
-impl<'a> InducedView<'a> {
-    /// View the subgraph of `g` induced by `allowed`.
-    pub fn new(g: &'a Graph, allowed: &'a NodeSet) -> Self {
-        InducedView { g, allowed }
-    }
-}
-
-impl GraphView for InducedView<'_> {
-    fn node_count(&self) -> usize {
-        self.g.node_count()
-    }
-
-    #[inline]
-    fn for_each_neighbor(&self, u: NodeId, mut visit: impl FnMut(NodeId)) {
-        if !self.allowed.contains(u) {
-            return;
-        }
-        for &v in self.g.neighbors(u) {
-            if self.allowed.contains(v) {
-                visit(v);
-            }
-        }
-    }
-
-    #[inline]
-    fn contains_node(&self, v: NodeId) -> bool {
-        self.allowed.contains(v)
-    }
-
-    fn is_symmetric(&self) -> bool {
-        true // both-endpoints-allowed is symmetric in (u, v)
-    }
-}
-
 /// An inner view minus failed vertices and/or failed undirected edges
-/// (keys from [`crate::undirected_key`]). Used for resilience sweeps and
-/// edge-disjoint failover planning.
+/// (keys from [`crate::undirected_key`]). Used for resilience sweeps,
+/// edge-disjoint failover planning and fault epochs: a
+/// [`crate::FaultState`] masks through
+/// `MaskedView::new(inner, Some(state.failed_nodes()), Some(state.failed_edges()))`.
 #[derive(Debug, Clone, Copy)]
 pub struct MaskedView<'a, V> {
     inner: V,
@@ -223,11 +182,6 @@ impl<'a, V: GraphView> MaskedView<'a, V> {
     pub fn without_edges(inner: V, failed_edges: &'a BTreeSet<(u32, u32)>) -> Self {
         MaskedView::new(inner, None, Some(failed_edges))
     }
-
-    /// Mask `inner` by removed vertices only.
-    pub fn without_nodes(inner: V, failed_nodes: &'a NodeSet) -> Self {
-        MaskedView::new(inner, Some(failed_nodes), None)
-    }
 }
 
 impl<V: GraphView> GraphView for MaskedView<'_, V> {
@@ -240,14 +194,13 @@ impl<V: GraphView> GraphView for MaskedView<'_, V> {
         if self.failed_nodes.is_some_and(|f| f.contains(u)) {
             return;
         }
+        // An empty cut set skips the per-edge lookup entirely.
+        let failed_edges = self.failed_edges.filter(|f| !f.is_empty());
         self.inner.for_each_neighbor(u, |v| {
             if self.failed_nodes.is_some_and(|f| f.contains(v)) {
                 return;
             }
-            if self
-                .failed_edges
-                .is_some_and(|f| f.contains(&crate::undirected_key(u, v)))
-            {
+            if failed_edges.is_some_and(|f| f.contains(&crate::undirected_key(u, v))) {
                 return;
             }
             visit(v);
@@ -305,18 +258,6 @@ mod tests {
         assert_eq!(collect(&view, NodeId(1)).len(), 2);
         // 3's edges: 3-2 and 3-0 both undominated.
         assert!(collect(&view, NodeId(3)).is_empty());
-    }
-
-    #[test]
-    fn induced_view_respects_allowed_set() {
-        let g = diamond();
-        let mut allowed = NodeSet::full(4);
-        allowed.remove(NodeId(2));
-        let view = InducedView::new(&g, &allowed);
-        assert_eq!(collect(&view, NodeId(1)), vec![NodeId(0)]);
-        assert!(collect(&view, NodeId(2)).is_empty());
-        assert!(!view.contains_node(NodeId(2)));
-        assert!(view.contains_node(NodeId(0)));
     }
 
     #[test]

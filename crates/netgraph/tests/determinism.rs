@@ -1,11 +1,11 @@
-//! Determinism gate for the parallel executor: every threaded metric
-//! must be bit-identical across worker counts (including the sequential
-//! delegate), because results files are diffed by CI and by readers.
+//! Determinism gate for the parallel executor: an all-sources msbfs
+//! fan-out through [`netgraph::par`] must merge to bit-identical results
+//! at every thread count (including the sequential delegate and auto),
+//! because results files are diffed by CI and by readers.
 //!
 //! The guarantee comes from fixed-size chunking plus chunk-ordered
 //! merges in [`netgraph::par`]; these tests pin it end to end.
 
-use netgraph::{betweenness_threaded, closeness_threaded, metrics};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -16,105 +16,17 @@ fn graph() -> netgraph::Graph {
     netgraph::barabasi_albert(600, 3, &mut rng)
 }
 
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
-#[test]
-fn betweenness_bit_identical_across_thread_counts() {
-    let g = graph();
-    let want = bits(&metrics::betweenness(
-        &g,
-        Some(64),
-        &mut ChaCha8Rng::seed_from_u64(7),
-    ));
-    for t in THREADS {
-        let got = bits(&betweenness_threaded(
-            &g,
-            Some(64),
-            &mut ChaCha8Rng::seed_from_u64(7),
-            t,
-        ));
-        assert_eq!(got, want, "betweenness diverged at threads={t}");
-    }
-}
-
-#[test]
-fn betweenness_exact_mode_also_identical() {
-    let g = graph();
-    let want = bits(&betweenness_threaded(
-        &g,
-        None,
-        &mut ChaCha8Rng::seed_from_u64(7),
-        1,
-    ));
-    for t in [2, 7] {
-        let got = bits(&betweenness_threaded(
-            &g,
-            None,
-            &mut ChaCha8Rng::seed_from_u64(7),
-            t,
-        ));
-        assert_eq!(got, want, "exact betweenness diverged at threads={t}");
-    }
-}
-
-#[test]
-fn closeness_bit_identical_across_thread_counts() {
-    let g = graph();
-    let want = bits(&metrics::closeness(
-        &g,
-        Some(80),
-        &mut ChaCha8Rng::seed_from_u64(11),
-    ));
-    for t in THREADS {
-        let got = bits(&closeness_threaded(
-            &g,
-            Some(80),
-            &mut ChaCha8Rng::seed_from_u64(11),
-            t,
-        ));
-        assert_eq!(got, want, "closeness diverged at threads={t}");
-    }
-}
-
-#[test]
-fn closeness_exact_msbfs_bit_identical() {
-    // Exact closeness is the msbfs-backed fan-out: every 64-source lane
-    // batch runs inside a `par` chunk, so this pins the kernel's
-    // batch-and-merge path (not just the sampled subset) across worker
-    // counts, including auto.
-    let g = graph();
-    let want = bits(&closeness_threaded(
-        &g,
-        None,
-        &mut ChaCha8Rng::seed_from_u64(13),
-        1,
-    ));
-    for t in [2, 4, 7, 0] {
-        let got = bits(&closeness_threaded(
-            &g,
-            None,
-            &mut ChaCha8Rng::seed_from_u64(13),
-            t,
-        ));
-        assert_eq!(got, want, "exact msbfs closeness diverged at threads={t}");
-    }
-}
-
-/// All-sources msbfs fan-out through the pool executor — one 64-source
-/// lane batch per chunk — returning merged per-level pair counts.
-/// Integer-valued, so any divergence (scheduling or layout) is exact.
+/// All-sources msbfs fan-out through the executor — one 64-source lane
+/// batch per chunk — returning merged per-level pair counts.
+/// Integer-valued, so any scheduling divergence is exact.
 fn msbfs_level_pairs(g: &netgraph::Graph, threads: usize) -> Vec<u64> {
     use netgraph::{msbfs, par, with_msbfs, FullView};
 
     let sources: Vec<netgraph::NodeId> = g.nodes().collect();
-    // Pool jobs are 'static: the closure owns its CSR clone.
-    let g_owned = g.clone();
-    let per_chunk = par::map_chunks(&sources, msbfs::LANES, threads, move |batch| {
+    let per_chunk = par::map_chunks(&sources, msbfs::LANES, threads, |batch| {
         let mut levels = Vec::new();
         with_msbfs(|arena| {
-            arena.run(FullView::new(&g_owned), batch, u32::MAX, |wf| {
+            arena.run(FullView::new(g), batch, u32::MAX, |wf| {
                 let l = wf.level() as usize;
                 if levels.len() <= l {
                     levels.resize(l + 1, 0u64);
@@ -154,44 +66,9 @@ fn msbfs_batch_fanout_bit_identical() {
 }
 
 #[test]
-fn msbfs_permuted_layout_bit_identical() {
-    // The cache-aware degree-descending relabeling changes memory layout
-    // only: per-level reachable-pair counts are relabeling-invariant, so
-    // the permuted CSR must reproduce the original curve bit-for-bit at
-    // every thread count. The permutation also has to pass its own audit.
-    use netgraph::Validate;
-
-    let g = graph();
-    let perm = g.permute_by_degree();
-    let cert = perm.audit();
-    assert!(cert.is_ok(), "permutation certificate failed: {cert:?}");
-
-    let want = msbfs_level_pairs(&g, 1);
-    for t in THREADS {
-        assert_eq!(
-            msbfs_level_pairs(perm.graph(), t),
-            want,
-            "permuted-CSR msbfs diverged at threads={t}"
-        );
-    }
-}
-
-#[test]
 fn auto_thread_count_matches_too() {
     // threads = 0 resolves to the machine's parallelism — whatever that
     // is, the answer must not move.
     let g = graph();
-    let a = bits(&betweenness_threaded(
-        &g,
-        Some(32),
-        &mut ChaCha8Rng::seed_from_u64(3),
-        0,
-    ));
-    let b = bits(&betweenness_threaded(
-        &g,
-        Some(32),
-        &mut ChaCha8Rng::seed_from_u64(3),
-        3,
-    ));
-    assert_eq!(a, b);
+    assert_eq!(msbfs_level_pairs(&g, 0), msbfs_level_pairs(&g, 3));
 }

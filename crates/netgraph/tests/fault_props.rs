@@ -1,8 +1,9 @@
 //! Property tests of the fault-injection layer: at every epoch of a
 //! random [`FaultSchedule`] over a random graph, traversal through a
-//! [`FaultView`] must equal a naive BFS on an *explicitly rebuilt*
-//! surviving subgraph — a `Graph` constructed from scratch out of the
-//! edges the schedule left alive. The rebuild shares no masking code
+//! [`MaskedView`] of the epoch's failed vertices and cut edges must
+//! equal a naive BFS on an *explicitly rebuilt* surviving subgraph — a
+//! `Graph` constructed from scratch out of the edges the schedule left
+//! alive. The rebuild shares no masking code
 //! with the view, so an error in the incremental state bookkeeping
 //! (apply/recover, group expansion, epoch ordering) cannot cancel out.
 //!
@@ -13,8 +14,8 @@
 
 use netgraph::msbfs::Direction;
 use netgraph::{
-    undirected_key, with_arena, with_msbfs, FaultGroup, FaultSchedule, FaultState, FaultView,
-    FullView, Graph, GraphBuilder, GraphView, NodeId,
+    undirected_key, with_arena, with_msbfs, FaultGroup, FaultSchedule, FaultState, FullView, Graph,
+    GraphBuilder, GraphView, MaskedView, NodeId,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -171,10 +172,10 @@ fn msbfs_with<V: GraphView>(view: &V, sources: &[NodeId], dir: Direction) -> Vec
 }
 
 proptest! {
-    /// Engine BFS through a FaultView equals naive BFS on the rebuilt
-    /// surviving subgraph, at every epoch of the schedule.
+    /// Engine BFS through the epoch's mask equals naive BFS on the
+    /// rebuilt surviving subgraph, at every epoch of the schedule.
     #[test]
-    fn fault_view_matches_rebuilt_subgraph(
+    fn fault_mask_matches_rebuilt_subgraph(
         edges in arb_edges(N, 60),
         node_events in arb_node_events(N, 6),
         edge_events in arb_edge_events(N, 6),
@@ -189,7 +190,11 @@ proptest! {
         );
         for epoch in 0..schedule.horizon() {
             let state = schedule.state_at(epoch);
-            let view = FaultView::new(FullView::new(&g), &state);
+            let view = MaskedView::new(
+                FullView::new(&g),
+                Some(state.failed_nodes()),
+                Some(state.failed_edges()),
+            );
             prop_assert_eq!(
                 engine_distances(&view, NodeId(src)),
                 reference_masked(&g, &state, NodeId(src)),
@@ -199,7 +204,7 @@ proptest! {
     }
 
     /// The 64-lane msbfs kernel agrees with the rebuilt subgraph in all
-    /// three expansion directions. FaultView masks whole vertices and
+    /// three expansion directions. The mask removes whole vertices and
     /// undirected edges, so symmetry is preserved and pull stays valid.
     #[test]
     fn msbfs_matches_rebuilt_subgraph_in_all_directions(
@@ -218,7 +223,11 @@ proptest! {
         let srcs: Vec<NodeId> = sources.iter().map(|&s| NodeId(s)).collect();
         for epoch in 0..schedule.horizon() {
             let state = schedule.state_at(epoch);
-            let view = FaultView::new(FullView::new(&g), &state);
+            let view = MaskedView::new(
+                FullView::new(&g),
+                Some(state.failed_nodes()),
+                Some(state.failed_edges()),
+            );
             prop_assert!(view.is_symmetric());
             let want: Vec<Vec<Option<u32>>> = srcs
                 .iter()

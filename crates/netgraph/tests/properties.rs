@@ -1,8 +1,8 @@
 //! Property-based tests of the graph substrate's core invariants.
 
 use netgraph::{
-    bfs_distances, connected_components, coreness, dijkstra, graph::from_edges, Graph,
-    GraphBuilder, NodeId, NodeSet,
+    bfs_distances, connected_components, coreness, graph::from_edges, Graph, GraphBuilder, NodeId,
+    NodeSet,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -92,21 +92,6 @@ proptest! {
         }
     }
 
-    /// Unit-weight Dijkstra equals BFS everywhere.
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn dijkstra_matches_bfs(edges in arb_edges(20, 70), src in 0u32..20) {
-        let g = build(20, &edges);
-        let sp = dijkstra(&g, NodeId(src), &netgraph::dijkstra::UnitWeights);
-        let bfs = bfs_distances(&g, NodeId(src));
-        for v in 0..20usize {
-            match bfs[v] {
-                Some(d) => prop_assert_eq!(sp.dist[v] as u32, d),
-                None => prop_assert!(sp.dist[v].is_infinite()),
-            }
-        }
-    }
-
     /// NodeSet algebra agrees with a model HashSet.
     #[test]
     fn nodeset_matches_model(a in proptest::collection::hash_set(0u32..80, 0..40),
@@ -118,11 +103,7 @@ proptest! {
 
         prop_assert_eq!(sa.len(), a.len());
         prop_assert_eq!(sa.union_len(&sb), a.union(&b).count());
-        prop_assert_eq!(sa.count_new(&sb), b.difference(&a).count());
 
-        let mut u = sa.clone();
-        u.union_with(&sb);
-        prop_assert_eq!(u.len(), a.union(&b).count());
         let mut i = sa.clone();
         i.intersect_with(&sb);
         prop_assert_eq!(i.len(), a.intersection(&b).count());

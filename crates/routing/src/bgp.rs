@@ -62,7 +62,7 @@ impl RouteTable {
     /// Walk next-hops from `src` to the destination; `None` if
     /// unreachable. The walk is cycle-free by construction of the
     /// preference lattice.
-    pub fn path_from(&self, src: NodeId) -> Option<Vec<NodeId>> {
+    fn path_from(&self, src: NodeId) -> Option<Vec<NodeId>> {
         let mut path = vec![src];
         let mut cur = src;
         let mut guard = self.routes.len() + 1;
@@ -86,7 +86,7 @@ impl RouteTable {
 }
 
 /// Compute every AS's BGP route toward `dst`.
-pub fn bgp_routes(pg: &PolicyGraph, dst: NodeId) -> RouteTable {
+fn bgp_routes(pg: &PolicyGraph, dst: NodeId) -> RouteTable {
     let n = pg.node_count();
     let mut routes: Vec<Option<Route>> = vec![None; n];
     routes[dst.index()] = Some(Route {

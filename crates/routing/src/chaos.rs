@@ -29,7 +29,7 @@ use crate::failover::plan_on;
 use crate::plan::{PlanError, ReconfigPlan};
 use crate::stitch::StitchedPath;
 use netgraph::{
-    undirected_key, DominatedView, FaultSchedule, FaultState, FaultView, Graph, NodeId, NodeSet,
+    undirected_key, DominatedView, FaultSchedule, FaultState, Graph, MaskedView, NodeId, NodeSet,
 };
 use serde::{Deserialize, Serialize};
 
@@ -61,7 +61,7 @@ impl SessionReplay {
     }
 }
 
-/// Aggregate of [`replay_session`] over many `(src, dst)` pairs.
+/// Aggregate of `replay_session` over many `(src, dst)` pairs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionStats {
     /// Sessions replayed.
@@ -95,7 +95,7 @@ pub struct SessionStats {
 /// # Panics
 ///
 /// Panics if `graphs` or `brokers` is empty.
-pub fn replay_session(
+fn replay_session(
     graphs: &[Graph],
     brokers: &[NodeSet],
     schedule: &FaultSchedule,
@@ -154,7 +154,11 @@ pub fn replay_session(
             netgraph::counter!("chaos.reroutes", 1);
         }
         planned_once = true;
-        let view = FaultView::new(DominatedView::new(g, &alive), state);
+        let view = MaskedView::new(
+            DominatedView::new(g, &alive),
+            Some(state.failed_nodes()),
+            Some(state.failed_edges()),
+        );
         match plan_on(view, &alive, src, dst) {
             Some(plan) => {
                 active = Some(plan.primary);
@@ -171,7 +175,7 @@ pub fn replay_session(
     out
 }
 
-/// Replay every pair with [`replay_session`] and aggregate.
+/// Replay every pair with `replay_session` and aggregate.
 pub fn replay_sessions(
     graphs: &[Graph],
     brokers: &[NodeSet],

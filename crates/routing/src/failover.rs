@@ -25,7 +25,7 @@ pub struct FailoverPlan {
 
 impl FailoverPlan {
     /// Whether a disjoint backup exists.
-    pub fn is_protected(&self) -> bool {
+    fn is_protected(&self) -> bool {
         self.backup.is_some()
     }
 }
@@ -35,12 +35,7 @@ impl FailoverPlan {
 /// Returns `None` when not even a primary dominating path exists. The
 /// backup avoids the primary's *edges* (vertices may repeat — endpoint
 /// vertices necessarily do).
-pub fn failover_plan(
-    g: &Graph,
-    brokers: &NodeSet,
-    src: NodeId,
-    dst: NodeId,
-) -> Option<FailoverPlan> {
+fn failover_plan(g: &Graph, brokers: &NodeSet, src: NodeId, dst: NodeId) -> Option<FailoverPlan> {
     plan_on(DominatedView::new(g, brokers), brokers, src, dst)
 }
 

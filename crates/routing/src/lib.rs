@@ -38,15 +38,13 @@ pub mod stitch;
 pub mod validate;
 pub mod valleyfree;
 
-pub use bgp::{bgp_paths_dominated, bgp_routes, Route, RouteClass, RouteTable};
+pub use bgp::bgp_paths_dominated;
 pub use capacity::{admit_demands, AdmissionReport, CapacityModel, Demand};
-pub use chaos::{
-    plan_recovery, replay_session, replay_sessions, RecoveryTransition, SessionReplay, SessionStats,
-};
+pub use chaos::{plan_recovery, replay_sessions, RecoveryTransition, SessionStats};
 pub use directional::{
     directional_connectivity, directional_connectivity_threaded, DirectionalReport,
 };
-pub use failover::{failover_plan, protection_ratio, FailoverPlan};
+pub use failover::protection_ratio;
 pub use inflation::{inflation_report, InflationReport};
 pub use monitor::{supervise, MonitorConfig, MonitorReport, Session, SessionReport};
 pub use plan::{
@@ -54,7 +52,7 @@ pub use plan::{
     Step, StepRecord,
 };
 pub use policy::{EdgeClass, PolicyGraph};
-pub use qos::{LatencyModel, PathQos};
-pub use stitch::{stitch_answer_path, stitch_path, stitch_path_weighted, StitchedPath};
+pub use qos::LatencyModel;
+pub use stitch::{stitch_path, StitchedPath};
 pub use validate::{AuditReport, PathCertificate, Validate};
 pub use valleyfree::{valley_free_path, valley_free_reach, Phase, ValleyFreeView};

@@ -12,7 +12,6 @@ use netgraph::NodeId;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use topology::{Internet, Tier};
 
 /// Deterministic per-edge latency model derived from a topology and seed.
@@ -30,27 +29,11 @@ impl LatencyModel {
     /// base latency is the mean of per-tier base latencies, plus
     /// lognormal-ish jitter.
     pub fn sample(net: &Internet, seed: u64) -> Self {
-        Self::sample_inner(net, None, seed)
-    }
-
-    /// Like [`LatencyModel::sample`], but geography-aware: an edge whose
-    /// endpoints sit in different [`topology::Region`]s pays a submarine
-    /// / long-haul penalty of 35 ms on top of its tier base.
-    pub fn sample_with_regions(net: &Internet, geo: &topology::GeoModel, seed: u64) -> Self {
-        Self::sample_inner(net, Some(geo), seed)
-    }
-
-    fn sample_inner(net: &Internet, geo: Option<&topology::GeoModel>, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut latencies = Vec::with_capacity(net.relationships().len());
         let mut index = std::collections::BTreeMap::new();
         for (i, &(a, b, _)) in net.relationships().iter().enumerate() {
-            let mut base = (tier_base(net.tier(a)) + tier_base(net.tier(b))) / 2.0;
-            if let Some(geo) = geo {
-                if geo.region(a) != geo.region(b) {
-                    base += 35.0;
-                }
-            }
+            let base = (tier_base(net.tier(a)) + tier_base(net.tier(b))) / 2.0;
             // Mild multiplicative jitter: U[0.6, 1.8].
             let jitter: f64 = rng.gen_range(0.6..1.8);
             latencies.push(base * jitter);
@@ -85,26 +68,6 @@ fn tier_base(t: Tier) -> f64 {
         Tier::Two => 10.0,   // regional transit
         Tier::Three => 18.0, // access tail
     }
-}
-
-/// QoS summary of a concrete path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PathQos {
-    /// Hop count (edges).
-    pub hops: usize,
-    /// End-to-end latency in ms.
-    pub latency_ms: f64,
-}
-
-/// Evaluate a path under a latency model.
-///
-/// Returns `None` when the path is empty or uses a non-edge.
-pub fn path_qos(model: &LatencyModel, path: &[NodeId]) -> Option<PathQos> {
-    let latency_ms = model.path_latency(path)?;
-    Some(PathQos {
-        hops: path.len() - 1,
-        latency_ms,
-    })
 }
 
 #[cfg(test)]
@@ -154,36 +117,8 @@ mod tests {
         let (a, b, _) = net.relationships()[0];
         let single = model.path_latency(&[a, b]).unwrap();
         assert_eq!(model.edge_latency(a, b), Some(single));
-        let qos = path_qos(&model, &[a, b]).unwrap();
-        assert_eq!(qos.hops, 1);
-        assert!(path_qos(&model, &[]).is_none());
+        assert!(model.path_latency(&[]).is_none());
         assert_eq!(model.path_latency(&[a]), Some(0.0));
-    }
-
-    #[test]
-    fn geo_model_penalizes_interregion_links() {
-        let net = net();
-        let geo = topology::GeoModel::assign(&net, 0.85, 3);
-        let flat = LatencyModel::sample(&net, 9);
-        let geoaware = LatencyModel::sample_with_regions(&net, &geo, 9);
-        let (mut cross_sum, mut cross_n) = (0.0, 0usize);
-        let (mut local_ratio_sum, mut local_n) = (0.0, 0usize);
-        for &(a, b, _) in net.relationships() {
-            let f = flat.edge_latency(a, b).unwrap();
-            let g = geoaware.edge_latency(a, b).unwrap();
-            if geo.region(a) != geo.region(b) {
-                cross_sum += g - f;
-                cross_n += 1;
-            } else {
-                local_ratio_sum += g / f;
-                local_n += 1;
-            }
-        }
-        assert!(cross_n > 0 && local_n > 0);
-        // Same-region edges identical (same jitter stream), cross-region
-        // strictly slower on average.
-        assert!((local_ratio_sum / local_n as f64 - 1.0).abs() < 1e-9);
-        assert!(cross_sum / cross_n as f64 > 15.0);
     }
 
     #[test]

@@ -73,114 +73,6 @@ pub(crate) fn shortest_on<V: GraphView>(
     Some(mk(brokers, path))
 }
 
-/// Compute the *latency-optimal* B-dominating path from `src` to `dst`
-/// under a [`crate::LatencyModel`] — Dijkstra over the dominated edge
-/// set. This is what a QoS brokerage would actually install when the SLA
-/// is a latency bound rather than a hop budget.
-///
-/// Returns `None` when no dominating path exists.
-pub fn stitch_path_weighted(
-    g: &Graph,
-    brokers: &NodeSet,
-    latency: &crate::LatencyModel,
-    src: NodeId,
-    dst: NodeId,
-) -> Option<StitchedPath> {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    if src == dst {
-        return Some(mk(brokers, vec![src]));
-    }
-    let n = g.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    // Min-heap entries ordered by (latency, node) with reversed compare.
-    struct Entry(f64, NodeId);
-    impl PartialEq for Entry {
-        fn eq(&self, other: &Self) -> bool {
-            self.0 == other.0 && self.1 == other.1
-        }
-    }
-    impl Eq for Entry {}
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // total_cmp keeps the ordering total even for NaN latencies.
-            other
-                .0
-                .total_cmp(&self.0)
-                .then_with(|| other.1.cmp(&self.1))
-        }
-    }
-    let mut heap = BinaryHeap::new();
-    dist[src.index()] = 0.0;
-    parent[src.index()] = Some(src);
-    heap.push(Entry(0.0, src));
-    while let Some(Entry(d, u)) = heap.pop() {
-        if d > dist[u.index()] {
-            continue;
-        }
-        if u == dst {
-            break;
-        }
-        let u_broker = brokers.contains(u);
-        for &v in g.neighbors(u) {
-            if !u_broker && !brokers.contains(v) {
-                continue;
-            }
-            let Some(w) = latency.edge_latency(u, v) else {
-                debug_assert!(false, "graph edge {u:?}-{v:?} is not priced");
-                continue;
-            };
-            let nd = d + w;
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                parent[v.index()] = Some(u);
-                heap.push(Entry(nd, v));
-            }
-        }
-    }
-    let path = netgraph::traverse::path_from_parents(&parent, src, dst)?;
-    Some(mk(brokers, path))
-}
-
-/// Materialize a [`brokerset::StitchAnswer`] from the query plane into
-/// the concrete installed route: shortest dominated paths `src → broker`
-/// and `broker → dst`, concatenated at the broker.
-///
-/// Because an optimal answer's broker lies on a shortest dominated
-/// path (`hops_s + hops_t` equals the dominated distance), the
-/// concatenation is itself a shortest dominated path. Returns `None`
-/// when either leg is missing or its length disagrees with the answer —
-/// i.e. the answer is stale for this graph/broker set.
-pub fn stitch_answer_path(
-    g: &Graph,
-    brokers: &NodeSet,
-    src: NodeId,
-    dst: NodeId,
-    answer: &brokerset::StitchAnswer,
-) -> Option<StitchedPath> {
-    if src == dst {
-        return (answer.hops() == 0).then(|| mk(brokers, vec![src]));
-    }
-    let view = DominatedView::new(g, brokers);
-    let to_broker = shortest_on(view, brokers, src, answer.broker)?.path;
-    let from_broker = shortest_on(view, brokers, answer.broker, dst)?.path;
-    if to_broker.len() != answer.hops_s as usize + 1
-        || from_broker.len() != answer.hops_t as usize + 1
-    {
-        return None;
-    }
-    let mut path = to_broker;
-    path.extend_from_slice(&from_broker[1..]);
-    Some(mk(brokers, path))
-}
-
 fn mk(brokers: &NodeSet, path: Vec<NodeId>) -> StitchedPath {
     let broker_positions = path
         .iter()
@@ -257,96 +149,6 @@ mod tests {
         assert_eq!(p.path, vec![NodeId(0)]);
         assert_eq!(p.hops(), 0);
         assert!(p.broker_only());
-    }
-
-    #[test]
-    fn index_answers_materialize_to_shortest_paths() {
-        use brokerset::ReachIndex;
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let g = netgraph::barabasi_albert(70, 2, &mut rng);
-        let sel = brokerset::greedy_mcb(&g, 7);
-        let b = sel.brokers();
-        let idx = ReachIndex::build(&g, b, 6, 1);
-        let mut materialized = 0usize;
-        for (s, t) in [(0u32, 40u32), (3, 55), (10, 61), (5, 5), (20, 33)] {
-            let (s, t) = (NodeId(s), NodeId(t));
-            match idx.query(s, t, 6) {
-                Some(ans) => {
-                    let p = stitch_answer_path(&g, b, s, t, &ans).expect("answer materializes");
-                    assert_eq!(p.hops() as u32, ans.hops());
-                    let direct = stitch_path(&g, b, s, t).unwrap();
-                    assert_eq!(p.hops(), direct.hops(), "not a shortest dominated path");
-                    if s != t {
-                        assert!(is_dominating_path(&g, b, &p.path));
-                    }
-                    materialized += 1;
-                }
-                None => {
-                    assert!(stitch_path(&g, b, s, t).is_none_or(|p| p.hops() > 6));
-                }
-            }
-        }
-        assert!(materialized >= 3);
-
-        // A stale answer (split that disagrees with the topology) is
-        // refused rather than materialized into a wrong-length route.
-        let ans = idx.query(NodeId(0), NodeId(40), 6).unwrap();
-        let stale = brokerset::StitchAnswer {
-            hops_s: ans.hops_s + 1,
-            ..ans
-        };
-        assert!(stitch_answer_path(&g, b, NodeId(0), NodeId(40), &stale).is_none());
-    }
-
-    #[test]
-    fn weighted_stitch_minimizes_latency() {
-        use crate::LatencyModel;
-        use topology::{InternetConfig, Scale};
-        let net = InternetConfig::scaled(Scale::Tiny).generate(13);
-        let g = net.graph();
-        let latency = LatencyModel::sample(&net, 2);
-        let sel = brokerset::max_subgraph_greedy(g, 75);
-        let brokers = sel.brokers();
-        let mut improved = 0usize;
-        let mut compared = 0usize;
-        for (u, v) in [(0u32, 500u32), (3, 900), (17, 701), (42, 1000), (8, 650)] {
-            let (u, v) = (NodeId(u), NodeId(v));
-            let hops = stitch_path(g, brokers, u, v);
-            let fast = stitch_path_weighted(g, brokers, &latency, u, v);
-            match (hops, fast) {
-                (Some(h), Some(f)) => {
-                    compared += 1;
-                    let lh = latency.path_latency(&h.path).unwrap();
-                    let lf = latency.path_latency(&f.path).unwrap();
-                    assert!(
-                        lf <= lh + 1e-9,
-                        "weighted stitch slower: {lf} vs hop-based {lh}"
-                    );
-                    if lf < lh - 1e-9 {
-                        improved += 1;
-                    }
-                    assert!(brokerset::connectivity::is_dominating_path(
-                        g, brokers, &f.path
-                    ));
-                }
-                (a, b) => assert_eq!(a.is_some(), b.is_some(), "reachability must agree"),
-            }
-        }
-        assert!(compared >= 3);
-        let _ = improved; // usually > 0, but not guaranteed per seed
-    }
-
-    #[test]
-    fn weighted_stitch_self_and_unreachable() {
-        use crate::LatencyModel;
-        use topology::{InternetConfig, Scale};
-        let net = InternetConfig::scaled(Scale::Tiny).generate(13);
-        let g = net.graph();
-        let latency = LatencyModel::sample(&net, 2);
-        let none = NodeSet::new(g.node_count());
-        assert!(stitch_path_weighted(g, &none, &latency, NodeId(0), NodeId(1)).is_none());
-        let p = stitch_path_weighted(g, &none, &latency, NodeId(5), NodeId(5)).unwrap();
-        assert_eq!(p.path, vec![NodeId(5)]);
     }
 
     proptest! {

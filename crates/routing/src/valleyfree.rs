@@ -48,7 +48,7 @@ pub fn step(phase: Phase, class: EdgeClass) -> Option<Phase> {
 /// not consume the single valley-free peering step.
 ///
 /// Non-alliance hops fall back to [`step`].
-pub fn step_with_alliance(
+fn step_with_alliance(
     phase: Phase,
     class: EdgeClass,
     u_in_alliance: bool,
@@ -73,7 +73,7 @@ pub struct ReachOptions<'a> {
     /// traversable only if `u` or `v` is a broker.
     pub brokers: Option<&'a NodeSet>,
     /// When set, peer/fabric hops between two members of this set are
-    /// phase-preserving (see [`step_with_alliance`]). Fig. 5b's peering
+    /// phase-preserving (see `step_with_alliance`). Fig. 5b's peering
     /// conversion is evaluated with `alliance = brokers`.
     pub alliance: Option<&'a NodeSet>,
     /// Hop budget (`None` = unbounded).
@@ -83,7 +83,7 @@ pub struct ReachOptions<'a> {
 /// The valley-free `(vertex, phase)` product graph as a
 /// [`netgraph::GraphView`]: state `2·v + 1` is vertex `v` in
 /// [`Phase::Down`], state `2·v` is `v` in [`Phase::Up`]; an edge exists
-/// between states exactly when [`step_with_alliance`] allows the hop (and
+/// between states exactly when `step_with_alliance` allows the hop (and
 /// the hop is B-dominated, when a broker filter is set).
 ///
 /// Walks start at `2·src` (the `Up` phase); one state transition is one

@@ -173,14 +173,6 @@ pub enum DeltaOp {
     },
 }
 
-impl DeltaOp {
-    /// Whether the op changes graph structure (everything but a
-    /// relationship flip).
-    pub fn is_structural(&self) -> bool {
-        !matches!(self, DeltaOp::RelFlip { .. })
-    }
-}
-
 /// One epoch's worth of semantic topology edits.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TopoDelta {
@@ -244,12 +236,6 @@ impl DeltaStream {
     /// epochs a replay must cover.
     pub fn horizon(&self) -> u32 {
         self.deltas.last().map_or(0, |d| d.epoch + 1)
-    }
-
-    /// Vertex count after the whole stream (births append ids, deaths
-    /// tombstone in place).
-    pub fn final_node_count(&self) -> usize {
-        self.base_nodes + self.births()
     }
 
     /// Total vertices born across the stream.
@@ -831,7 +817,6 @@ mod tests {
         assert_eq!(a.horizon(), 7);
         assert!(a.births() >= 6, "at least the IXP births");
         assert!(a.op_count() > 0);
-        assert_eq!(a.final_node_count(), net.graph().node_count() + a.births());
     }
 
     #[test]
@@ -844,7 +829,7 @@ mod tests {
         for d in stream.lower() {
             g = g.apply_delta(&d);
         }
-        assert_eq!(g.node_count(), stream.final_node_count());
+        assert_eq!(g.node_count(), net.graph().node_count() + stream.births());
         // materialize() rebuilds the same graph plus consistent
         // metadata — from_parts re-asserts rels cover the edge set.
         let evolved = materialize(&net, &stream);

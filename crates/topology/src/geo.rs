@@ -81,11 +81,6 @@ impl GeoModel {
         self.regions[v.index()]
     }
 
-    /// All assignments, indexed by vertex id.
-    pub fn regions(&self) -> &[Region] {
-        &self.regions
-    }
-
     /// Histogram over [`Region::all`] for an arbitrary vertex iterator.
     pub fn histogram<I: IntoIterator<Item = NodeId>>(&self, nodes: I) -> [usize; 6] {
         let mut h = [0usize; 6];
@@ -206,7 +201,6 @@ mod tests {
     #[test]
     fn every_vertex_assigned() {
         let (net, geo) = model();
-        assert_eq!(geo.regions().len(), net.graph().node_count());
         let hist = geo.histogram(net.graph().nodes());
         assert_eq!(hist.iter().sum::<usize>(), net.graph().node_count());
         // Major regions populated.

@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod builder;
 pub mod evolve;
 pub mod geo;
 pub mod internet;

@@ -193,7 +193,7 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 ///
 /// Skips `vendor/` (external API stand-ins with their own conventions),
 /// `target/`, and hidden directories.
-pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<String>> {
+fn collect_rs_files(root: &Path) -> std::io::Result<Vec<String>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -249,7 +249,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
 /// # Errors
 ///
 /// I/O failures while reading the tree.
-pub fn lint_workspace_with(root: &Path, allowlist: &Allowlist) -> std::io::Result<LintReport> {
+fn lint_workspace_with(root: &Path, allowlist: &Allowlist) -> std::io::Result<LintReport> {
     let files = collect_rs_files(root)?;
     let mut report = LintReport {
         files_scanned: files.len(),

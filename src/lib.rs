@@ -87,13 +87,13 @@ impl BrokeragePlan {
     }
 
     /// Build a plan from an explicit topology configuration.
-    pub fn build_with_config(cfg: &InternetConfig, seed: u64, budget: usize) -> Self {
+    fn build_with_config(cfg: &InternetConfig, seed: u64, budget: usize) -> Self {
         let internet = cfg.generate(seed);
         Self::for_internet(internet, budget)
     }
 
     /// Plan a broker set for an existing topology.
-    pub fn for_internet(internet: Internet, budget: usize) -> Self {
+    fn for_internet(internet: Internet, budget: usize) -> Self {
         let () = netgraph::counter!("plan.builds");
         let selection = max_subgraph_greedy(internet.graph(), budget);
         let report = saturated_connectivity(internet.graph(), selection.brokers());
