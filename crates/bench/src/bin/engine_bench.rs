@@ -24,9 +24,11 @@
 //! - **per-source** — the pre-msbfs evaluator, reproduced verbatim below
 //!   (`per_source_curve`): one arena BFS per source over
 //!   `DominatedView`, cumulative histogram per source;
-//! - **msbfs** — `brokerset::lhop_curve_parallel`, which batches 64
-//!   sources into the bit lanes of a `u64` per adjacency pass and fans
-//!   whole lane batches out on `netgraph::par`.
+//! - **msbfs** — `brokerset::lhop_curve_parallel`, which orders the
+//!   sources by hub (a broker keys on itself, a non-broker on its
+//!   highest-degree broker neighbour, ties by vertex id), batches 64
+//!   consecutive sources into the bit lanes of a `u64` per adjacency
+//!   pass and fans whole lane batches out on `netgraph::par`.
 //!
 //! At tiny scale the comparison is exact (every vertex a source); at
 //! quarter/full it uses a fixed sampled source list so the deliberately

@@ -220,7 +220,7 @@ fn eval_epoch(
         if n < 2 || l == 0 || sources.is_empty() {
             return 0.0;
         }
-        let (cum, _finals) = run_sources_over(view, n, l, &sources);
+        let cum = run_sources_over(view, n, l, &sources, None);
         let denom = sources.len() as f64 * (n as f64 - 1.0);
         cum[l - 1] as f64 / denom
     });

@@ -10,9 +10,11 @@
 //!
 //! - **saturated connectivity** (l → ∞) — connected components of
 //!   `(V, E_B)`, `O(|V| + |E|)`;
-//! - **l-hop curves** `F_B(l)` — per-source BFS, either exact (all
-//!   sources) or estimated from a uniform source sample with the standard
-//!   error reported.
+//! - **l-hop curves** `F_B(l)` — one hop-bounded BFS per source, run 64
+//!   sources at a time as the lanes of a bit-parallel [`msbfs`] batch
+//!   with sources that share a hub, either exact (all sources) or
+//!   estimated from a uniform source sample with the standard error
+//!   reported.
 
 use netgraph::components::Components;
 use netgraph::{
@@ -22,6 +24,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// How to choose BFS sources for l-hop evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,46 +93,30 @@ pub fn sample_std_error(values: &[f64], population: usize) -> Option<f64> {
     Some((var * fpc / m as f64).sqrt())
 }
 
-/// Dominated-edge BFS over `sources`, returning the cumulative reach
-/// histogram (`cum[l]` = total vertices reached within `l + 1` hops,
-/// summed over sources) and each source's final reach fraction.
+/// Level-synchronous BFS over `view` from `sources`, returning the
+/// cumulative reach histogram (`cum[l]` = total vertices reached within
+/// `l + 1` hops, summed over sources). When `finals` is given, each
+/// source's final reach fraction is appended to it in source order.
 ///
 /// Sources are traversed in 64-lane [`msbfs`] batches: one adjacency
 /// pass per level serves 64 sources at once, which is what makes
 /// [`SourceMode::Exact`] affordable beyond toy scales. All accumulated
 /// quantities are per-level set cardinalities (integers), so the result
-/// is byte-identical to the historical one-arena-BFS-per-source loop —
-/// including `finals`, whose division happens per source in source
-/// order. Batch boundaries are invisible: each lane only ever
-/// contributes its own counts.
-fn run_sources(
-    g: &Graph,
-    brokers: &NodeSet,
-    max_l: usize,
-    sources: &[NodeId],
-) -> (Vec<u64>, Vec<f64>) {
-    run_sources_over(
-        DominatedView::new(g, brokers),
-        g.node_count(),
-        max_l,
-        sources,
-    )
-}
-
-/// [`run_sources`] over an arbitrary symmetric [`GraphView`] — the same
-/// 64-lane batching, level-pair accumulation and per-source division,
-/// so instantiating it with a transparent mask (e.g. an all-clear
-/// [`netgraph::MaskedView`] over the dominated edge set) is byte-identical
-/// to [`run_sources`] itself.
+/// is byte-identical to the historical one-arena-BFS-per-source loop,
+/// and the order of `sources` and their batch boundaries are invisible
+/// in `cum`: each lane only ever contributes its own counts. A final is
+/// a per-source division of that source's own count. Only a sampled
+/// curve's standard error reads finals, so other callers pass `None` and
+/// skip their per-batch sweep over the lane masks.
 pub(crate) fn run_sources_over<V: GraphView + Copy>(
     view: V,
     n: usize,
     max_l: usize,
     sources: &[NodeId],
-) -> (Vec<u64>, Vec<f64>) {
+    mut finals: Option<&mut Vec<f64>>,
+) -> Vec<u64> {
     netgraph::counter!("connectivity.sources_evaluated", sources.len() as u64);
     let mut cum = vec![0u64; max_l];
-    let mut finals = Vec::with_capacity(sources.len());
     with_msbfs(|arena| {
         for batch in sources.chunks(msbfs::LANES) {
             // level_pairs[l] = pairs first connected at exactly l + 1
@@ -147,14 +134,48 @@ pub(crate) fn run_sources_over<V: GraphView + Copy>(
                 acc += pairs;
                 *slot += acc;
             }
-            let reach = arena.lane_reach();
-            for &r in reach.iter().take(batch.len()) {
-                let acc = u64::from(r.saturating_sub(1));
-                finals.push(acc as f64 / (n as f64 - 1.0));
+            if let Some(finals) = finals.as_deref_mut() {
+                let reach = arena.lane_reach();
+                for &r in reach.iter().take(batch.len()) {
+                    let acc = u64::from(r.saturating_sub(1));
+                    finals.push(acc as f64 / (n as f64 - 1.0));
+                }
             }
         }
     });
-    (cum, finals)
+    cum
+}
+
+/// The order [`lhop_curve_parallel`] evaluates `sources` in, as positions
+/// into `sources`: grouped by hub, so that the 64 lanes of a batch share
+/// most of their dominated-edge ball and each level's adjacency pass
+/// serves them together.
+///
+/// A broker keys on itself. A non-broker's dominated edges all lead to
+/// brokers, so it keys on its highest-degree broker neighbour (the
+/// smallest id among equals), or on `u32::MAX` when it has none. Equal
+/// keys order by vertex id. The order depends on the graph, the broker
+/// set and the sample only, never on the thread count.
+fn hub_order(g: &Graph, brokers: &NodeSet, sources: &[NodeId]) -> Vec<u32> {
+    let key: Vec<u32> = g
+        .nodes()
+        .map(|v| {
+            if brokers.contains(v) {
+                return v.0;
+            }
+            g.neighbors(v)
+                .iter()
+                .filter(|&&b| brokers.contains(b))
+                .max_by_key(|&&b| (g.degree(b), Reverse(b.0)))
+                .map_or(u32::MAX, |b| b.0)
+        })
+        .collect();
+    let mut order: Vec<u32> = (0..sources.len() as u32).collect();
+    order.sort_unstable_by_key(|&p| {
+        let s = sources[p as usize];
+        (key[s.index()], s.0)
+    });
+    order
 }
 
 /// Connected components of `(V, E_B)` where
@@ -226,14 +247,18 @@ pub fn lhop_curve(g: &Graph, brokers: &NodeSet, max_l: usize, mode: SourceMode) 
 /// (`0` = all hardware threads) via [`netgraph::par`]; the result is
 /// *bit-identical* at every thread count.
 ///
-/// The fan-out unit is one msbfs **lane batch**: batch `b` covers
-/// `sources[b * LANES .. (b + 1) * LANES]`, so every work item feeds the
-/// 64-lane kernel a full batch instead of single sources. Batch
-/// boundaries are fixed by [`msbfs::LANES`] (never by `threads`), the
-/// cumulative histogram merge is integer-additive, and the per-source
-/// finals concatenate in batch order — so the result is invariant both
-/// to the thread count *and* to how batches are grouped into executor
-/// chunks, which makes [`par::adaptive_chunk`] sizing safe here. Worker
+/// Sources are evaluated in hub order: a broker keys on its own id, a
+/// non-broker on its highest-degree broker neighbour, and equal keys go
+/// by vertex id. The fan-out unit is one msbfs **lane batch** of 64
+/// consecutive sources in that order, so every work item feeds the
+/// 64-lane kernel a full batch of sources that share a hub. Batch
+/// boundaries are fixed by the order and
+/// [`msbfs::LANES`] (never by `threads`), and the cumulative histogram
+/// merge is integer-additive, so the result is invariant both to the
+/// thread count *and* to how batches are grouped into executor chunks,
+/// which makes [`par::adaptive_chunk`] sizing safe here. A partial
+/// sample's per-source finals, which feed its standard error, are put
+/// back in sample order before [`sample_std_error`] sums them. Worker
 /// panics propagate to the caller.
 pub fn lhop_curve_parallel(
     g: &Graph,
@@ -252,24 +277,38 @@ pub fn lhop_curve_parallel(
     }
     let sources = mode.sources(n);
     let n_sources = sources.len();
+    // The standard error of an exhaustive evaluation is 0 whatever the
+    // finals hold, so only a partial sample computes them.
+    let want_finals = n_sources < n;
+    let order = hub_order(g, brokers, &sources);
+    let view = DominatedView::new(g, brokers);
     let batches_per_chunk = par::adaptive_chunk(n_sources.div_ceil(msbfs::LANES), threads);
     let (cum, finals) = par::map_reduce(
-        &sources,
+        &order,
         batches_per_chunk * msbfs::LANES,
         threads,
         |chunk| {
             let mut cum = vec![0u64; max_l];
-            let mut finals = Vec::with_capacity(chunk.len());
+            let mut finals = Vec::new();
+            let mut lanes = [NodeId(0); msbfs::LANES];
             for batch in chunk.chunks(msbfs::LANES) {
-                let (batch_cum, batch_finals) = run_sources(g, brokers, max_l, batch);
+                for (lane, &p) in lanes.iter_mut().zip(batch) {
+                    *lane = sources[p as usize];
+                }
+                let batch_cum = run_sources_over(
+                    view,
+                    n,
+                    max_l,
+                    &lanes[..batch.len()],
+                    want_finals.then_some(&mut finals),
+                );
                 for (acc, c) in cum.iter_mut().zip(batch_cum) {
                     *acc += c;
                 }
-                finals.extend(batch_finals);
             }
             (cum, finals)
         },
-        (vec![0u64; max_l], Vec::with_capacity(n_sources)),
+        (vec![0u64; max_l], Vec::new()),
         |(mut cum, mut finals), (partial_cum, partial_finals)| {
             for (acc, c) in cum.iter_mut().zip(partial_cum) {
                 *acc += c;
@@ -281,7 +320,15 @@ pub fn lhop_curve_parallel(
 
     let denom = n_sources as f64 * (n as f64 - 1.0);
     let fractions: Vec<f64> = cum.iter().map(|&c| c as f64 / denom).collect();
-    let std_error = sample_std_error(&finals, n);
+    let std_error = if want_finals {
+        let mut in_sample_order = vec![0.0; n_sources];
+        for (&p, f) in order.iter().zip(finals) {
+            in_sample_order[p as usize] = f;
+        }
+        sample_std_error(&in_sample_order, n)
+    } else {
+        Some(0.0)
+    };
     LhopCurve {
         fractions,
         std_error,

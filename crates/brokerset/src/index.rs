@@ -79,6 +79,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Sentinel for "not reachable within the hop cap" in a distance shard.
@@ -174,9 +175,13 @@ impl GraphView for MaskView<'_> {
     }
 
     #[inline]
-    fn for_each_neighbor(&self, u: NodeId, mut visit: impl FnMut(NodeId)) {
+    fn try_for_each_neighbor(
+        &self,
+        u: NodeId,
+        mut visit: impl FnMut(NodeId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         if self.down.contains(u) {
-            return;
+            return ControlFlow::Continue(());
         }
         let u_alive_broker = self.alive.contains(u);
         let check_cut = !self.cut.is_empty();
@@ -190,8 +195,9 @@ impl GraphView for MaskView<'_> {
             if check_cut && self.cut.contains(&netgraph::undirected_key(u, v)) {
                 continue;
             }
-            visit(v);
+            visit(v)?;
         }
+        ControlFlow::Continue(())
     }
 
     #[inline]

@@ -21,13 +21,19 @@
 //! scatter their masks to neighbors) or **bottom-up** (iterate vertices
 //! with undiscovered lanes, gather their neighbors' frontier masks),
 //! switching on frontier density in the style of Beamer et al. (SC 2012).
-//! Both directions compute the same `next` masks — a lane reaches `v` at
-//! level `d + 1` iff some neighbor of `v` carried that lane at level `d`,
-//! and set union is order-independent — so the heuristic affects running
-//! time only, never results. Bottom-up gathers over a vertex's *neighbor
-//! list* as if it were its in-edge list, which requires
-//! [`GraphView::is_symmetric`]; asymmetric views (the routing crate's
-//! valley-free product graph) are always expanded top-down.
+//! Both directions promote the same frontier — a lane reaches `v` at
+//! level `d + 1` iff `v` is unseen by it and some neighbor of `v` carried
+//! it at level `d`, and set union is order-independent — so the
+//! heuristic affects running time only, never results. A bottom-up
+//! gather stops at the neighbor that completes `v`'s unseen lanes (the
+//! multi-lane form of Beamer's stop at the first frontier parent): the
+//! lanes it skips are ones `v` has already seen, which the promote step
+//! discards anyway. It walks neighbors through
+//! [`GraphView::try_for_each_neighbor`], the one walk every view
+//! implements. Bottom-up gathers over a vertex's *neighbor list* as if it
+//! were its in-edge list, which requires [`GraphView::is_symmetric`];
+//! asymmetric views (the routing crate's valley-free product graph) are
+//! always expanded top-down.
 //!
 //! ## Determinism
 //!
@@ -51,6 +57,7 @@
 use crate::view::GraphView;
 use crate::NodeId;
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 
 /// Sources served by one batch: the bit lanes of a `u64`.
 pub const LANES: usize = 64;
@@ -299,8 +306,18 @@ impl MsBfsArena {
                         continue;
                     }
                     gathered += 1;
+                    // The promote step keeps only `next & !seen`, so the
+                    // gather may stop once every unseen lane has arrived.
+                    let need = seeded & !seen[i];
                     let mut m = 0u64;
-                    view.for_each_neighbor(NodeId(i as u32), |v| m |= frontier[v.index()]);
+                    let _ = view.try_for_each_neighbor(NodeId(i as u32), |v| {
+                        m |= frontier[v.index()];
+                        if m & need == need {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    });
                     next[i] = m;
                 }
                 let () = crate::counter!("msbfs.pull_expansions", gathered);
@@ -541,10 +558,15 @@ mod tests {
             fn node_count(&self) -> usize {
                 2
             }
-            fn for_each_neighbor(&self, u: NodeId, mut visit: impl FnMut(NodeId)) {
+            fn try_for_each_neighbor(
+                &self,
+                u: NodeId,
+                mut visit: impl FnMut(NodeId) -> ControlFlow<()>,
+            ) -> ControlFlow<()> {
                 if u == NodeId(0) {
-                    visit(NodeId(1));
+                    visit(NodeId(1))?;
                 }
+                ControlFlow::Continue(())
             }
         }
         MsBfsArena::new().run_with(OneWay, &[NodeId(0)], u32::MAX, Direction::Pull, |_| {});

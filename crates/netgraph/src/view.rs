@@ -26,21 +26,38 @@
 
 use crate::{Graph, NodeId, NodeSet};
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 /// A graph-shaped adjacency structure the traversal engine can walk.
 ///
 /// Vertices are dense `NodeId`s in `0..node_count()`. Implementations
-/// expose adjacency through an internal-iteration visitor so filters
-/// compile down to branches inside the caller's loop (no iterator
-/// adapters, no allocation).
+/// expose adjacency through one internal-iteration visitor that the
+/// caller can stop early, so filters compile down to branches inside the
+/// caller's loop (no iterator adapters, no allocation).
 pub trait GraphView {
     /// Number of vertices (states) in the view.
     fn node_count(&self) -> usize;
 
     /// Invoke `visit` for every neighbor `v` of `u` that survives the
-    /// view's filter. Neighbors are visited in the underlying adjacency
+    /// view's filter, stopping at the first [`ControlFlow::Break`], which
+    /// is returned. Neighbors are visited in the underlying adjacency
     /// order, which is what makes engine traversals deterministic.
-    fn for_each_neighbor(&self, u: NodeId, visit: impl FnMut(NodeId));
+    fn try_for_each_neighbor(
+        &self,
+        u: NodeId,
+        visit: impl FnMut(NodeId) -> ControlFlow<()>,
+    ) -> ControlFlow<()>;
+
+    /// Invoke `visit` for every neighbor of `u`:
+    /// [`try_for_each_neighbor`](GraphView::try_for_each_neighbor) that
+    /// never stops.
+    #[inline]
+    fn for_each_neighbor(&self, u: NodeId, mut visit: impl FnMut(NodeId)) {
+        let _ = self.try_for_each_neighbor(u, |v| {
+            visit(v);
+            ControlFlow::Continue(())
+        });
+    }
 
     /// Whether `v` exists in the view at all (vertex-level masks).
     ///
@@ -73,8 +90,12 @@ impl<V: GraphView> GraphView for &V {
         (**self).node_count()
     }
 
-    fn for_each_neighbor(&self, u: NodeId, visit: impl FnMut(NodeId)) {
-        (**self).for_each_neighbor(u, visit);
+    fn try_for_each_neighbor(
+        &self,
+        u: NodeId,
+        visit: impl FnMut(NodeId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        (**self).try_for_each_neighbor(u, visit)
     }
 
     fn contains_node(&self, v: NodeId) -> bool {
@@ -105,10 +126,15 @@ impl GraphView for FullView<'_> {
     }
 
     #[inline]
-    fn for_each_neighbor(&self, u: NodeId, mut visit: impl FnMut(NodeId)) {
+    fn try_for_each_neighbor(
+        &self,
+        u: NodeId,
+        mut visit: impl FnMut(NodeId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         for &v in self.g.neighbors(u) {
-            visit(v);
+            visit(v)?;
         }
+        ControlFlow::Continue(())
     }
 
     fn is_symmetric(&self) -> bool {
@@ -138,13 +164,18 @@ impl GraphView for DominatedView<'_> {
     }
 
     #[inline]
-    fn for_each_neighbor(&self, u: NodeId, mut visit: impl FnMut(NodeId)) {
+    fn try_for_each_neighbor(
+        &self,
+        u: NodeId,
+        mut visit: impl FnMut(NodeId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let u_is_broker = self.brokers.contains(u);
         for &v in self.g.neighbors(u) {
             if u_is_broker || self.brokers.contains(v) {
-                visit(v);
+                visit(v)?;
             }
         }
+        ControlFlow::Continue(())
     }
 
     fn is_symmetric(&self) -> bool {
@@ -190,21 +221,25 @@ impl<V: GraphView> GraphView for MaskedView<'_, V> {
     }
 
     #[inline]
-    fn for_each_neighbor(&self, u: NodeId, mut visit: impl FnMut(NodeId)) {
+    fn try_for_each_neighbor(
+        &self,
+        u: NodeId,
+        mut visit: impl FnMut(NodeId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         if self.failed_nodes.is_some_and(|f| f.contains(u)) {
-            return;
+            return ControlFlow::Continue(());
         }
         // An empty cut set skips the per-edge lookup entirely.
         let failed_edges = self.failed_edges.filter(|f| !f.is_empty());
-        self.inner.for_each_neighbor(u, |v| {
+        self.inner.try_for_each_neighbor(u, |v| {
             if self.failed_nodes.is_some_and(|f| f.contains(v)) {
-                return;
+                return ControlFlow::Continue(());
             }
             if failed_edges.is_some_and(|f| f.contains(&crate::undirected_key(u, v))) {
-                return;
+                return ControlFlow::Continue(());
             }
-            visit(v);
-        });
+            visit(v)
+        })
     }
 
     #[inline]

@@ -135,22 +135,34 @@ proptest! {
 
     /// Forced top-down push and bottom-up pull produce the same
     /// distances as Auto — direction is a speed choice, never a result
-    /// choice (the determinism argument in DESIGN.md).
+    /// choice (the determinism argument in DESIGN.md). Batches hold up
+    /// to all 64 lanes, and the views include a mask with failed
+    /// vertices and cut edges, so pull gathers that stop once every
+    /// unseen lane has arrived are checked against full push scatters.
     #[test]
-    fn push_pull_and_auto_agree(edges in arb_edges(24, 90),
-                                sources in proptest::collection::hash_set(0u32..24, 1..16),
-                                brokers in proptest::collection::hash_set(0u32..24, 0..12),
+    fn push_pull_and_auto_agree(edges in arb_edges(96, 400),
+                                sources in proptest::collection::hash_set(0u32..96, 1..=64),
+                                brokers in proptest::collection::hash_set(0u32..96, 0..48),
+                                dead in proptest::collection::hash_set(0u32..96, 0..8),
+                                cut in proptest::collection::vec((0u32..96, 0u32..96), 0..40),
                                 depth in 0u32..6) {
         use netgraph::msbfs::Direction;
-        let g = build(24, &edges);
-        let b = node_set(24, &brokers);
+        let g = build(96, &edges);
+        let b = node_set(96, &brokers);
+        let failed_nodes = node_set(96, &dead);
+        let failed_edges: BTreeSet<(u32, u32)> = cut
+            .iter()
+            .map(|&(x, y)| undirected_key(NodeId(x), NodeId(y)))
+            .collect();
         let srcs = sources_of(&sources);
-        let view = DominatedView::new(&g, &b);
-        let push = msbfs_forced(&view, &srcs, depth, Direction::Push);
-        let pull = msbfs_forced(&view, &srcs, depth, Direction::Pull);
-        let auto = msbfs_forced(&view, &srcs, depth, Direction::Auto);
-        prop_assert_eq!(&push, &pull);
-        prop_assert_eq!(&push, &auto);
+        let dominated = DominatedView::new(&g, &b);
+        let masked = MaskedView::new(dominated, Some(&failed_nodes), Some(&failed_edges));
+        let push = msbfs_forced(&dominated, &srcs, depth, Direction::Push);
+        prop_assert_eq!(&push, &msbfs_forced(&dominated, &srcs, depth, Direction::Pull));
+        prop_assert_eq!(&push, &msbfs_forced(&dominated, &srcs, depth, Direction::Auto));
+        let push = msbfs_forced(&masked, &srcs, depth, Direction::Push);
+        prop_assert_eq!(&push, &msbfs_forced(&masked, &srcs, depth, Direction::Pull));
+        prop_assert_eq!(&push, &msbfs_forced(&masked, &srcs, depth, Direction::Auto));
     }
 
     /// Batch boundaries are invisible: splitting the same sources across

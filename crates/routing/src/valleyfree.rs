@@ -11,6 +11,7 @@
 use crate::policy::{EdgeClass, PolicyGraph};
 use netgraph::{with_arena, GraphView, NodeId, NodeSet};
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// Phase of a valley-free walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -119,7 +120,11 @@ impl GraphView for ValleyFreeView<'_> {
         2 * self.pg.node_count()
     }
 
-    fn for_each_neighbor(&self, s: NodeId, mut visit: impl FnMut(NodeId)) {
+    fn try_for_each_neighbor(
+        &self,
+        s: NodeId,
+        mut visit: impl FnMut(NodeId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let u = ValleyFreeView::vertex_of(s);
         let phase = if s.0 % 2 == 1 { Phase::Down } else { Phase::Up };
         let u_is_broker = self.opts.brokers.is_none_or(|b| b.contains(u));
@@ -134,8 +139,9 @@ impl GraphView for ValleyFreeView<'_> {
             let Some(next) = step_with_alliance(phase, class, u_in_alliance, v_in_alliance) else {
                 continue;
             };
-            visit(NodeId(2 * v.0 + u32::from(next == Phase::Down)));
+            visit(NodeId(2 * v.0 + u32::from(next == Phase::Down)))?;
         }
+        ControlFlow::Continue(())
     }
 }
 
