@@ -2,12 +2,9 @@
 # Local CI gate: formatting, clippy, the repo-specific lint rules and the
 # full test suite. Fails fast; run before pushing.
 #
-# The workspace [lints] table keeps clippy::unwrap_used / expect_used /
-# print_stdout at warn level because their blanket versions cannot express
-# this repo's actual policy (tests, benches and bins may unwrap and
-# print). The precise, scoped versions of those rules (R1/R4) are
-# enforced by `cargo run -p xtask -- lint` below, so the clippy step
-# keeps them advisory while denying everything else.
+# The clippy step carries the rules that lint configuration can check by
+# type (clippy.toml bans, the product library roots' denies, workspace
+# rustc lints); xtask checks the rest. DESIGN.md §6b has the rule table.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -23,19 +20,13 @@ else
 fi
 
 if cargo clippy --version >/dev/null 2>&1; then
-    run cargo clippy --offline --workspace --all-targets -- \
-        -D warnings \
-        -A clippy::unwrap_used \
-        -A clippy::expect_used \
-        -A clippy::print_stdout
+    run cargo clippy --offline --workspace --all-targets -- -D warnings
 else
     echo "==> clippy unavailable, skipping" >&2
 fi
 
-# The repo lint, emitting the SARIF artifact and checking it is
-# well-formed with the repo's own checker.
-run cargo run --offline -q -p xtask -- lint --sarif lint.sarif
-run cargo run --offline -q -p xtask -- sarif-check lint.sarif
+# The repo lint: the rules clippy and rustc cannot check by type.
+run cargo run --offline -q -p xtask -- lint
 
 # Warning gate: a clean `cargo build` of the whole workspace.
 echo "==> cargo build --workspace (deny warnings)"

@@ -5,7 +5,6 @@
 //! experiment, and print the paper's reported numbers next to ours. The
 //! helpers here keep that uniform.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use brokerset::SourceMode;

@@ -624,7 +624,9 @@ impl ReachIndex {
     /// # Errors
     ///
     /// Returns an [`IndexCodecError`] on truncation, bad magic, checksum
-    /// mismatch or violated structural invariants.
+    /// mismatch or violated structural invariants; a blob that parses but
+    /// fails the [`Validate`] audit is `Corrupt` with the first failed
+    /// invariant's name.
     pub fn from_bytes(data: &[u8]) -> Result<Self, IndexCodecError> {
         if data.len() < 8 {
             return Err(IndexCodecError::Truncated);
@@ -694,7 +696,7 @@ impl ReachIndex {
             return Err(IndexCodecError::Corrupt("trailing bytes after shards"));
         }
         let roster = NodeSet::from_iter_with_capacity(n, brokers.iter().copied());
-        Ok(ReachIndex {
+        let index = ReachIndex {
             n,
             max_l,
             epoch,
@@ -706,7 +708,13 @@ impl ReachIndex {
             down,
             cut,
             defected,
-        })
+        };
+        // The checksum vouches for the bytes, not their meaning: a blob
+        // edited and re-signed must still pass the structural audit.
+        match index.audit().findings.first() {
+            Some(finding) => Err(IndexCodecError::Corrupt(finding.invariant)),
+            None => Ok(index),
+        }
     }
 
     /// [`ReachIndex::to_bytes`] to a file.
@@ -833,6 +841,10 @@ impl<'a> IndexCertificate<'a> {
 
     /// Independent bounded BFS from `src` over the masked dominated
     /// edge set.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "R6: the certificate's BFS shares no code with the index it checks"
+    )]
     fn reference_column(&self, src: NodeId, alive: &NodeSet) -> Vec<u8> {
         let idx = self.idx;
         let mut col = vec![UNREACH; idx.n];
@@ -1245,17 +1257,26 @@ mod tests {
             ReachIndex::from_bytes(&flipped),
             Err(IndexCodecError::ChecksumMismatch)
         );
-        let mut bad_magic = bytes;
-        bad_magic[0] = b'X';
-        let fixed = {
-            let payload_len = bad_magic.len() - 8;
-            let digest = fnv1a(bad_magic[..payload_len].iter().copied()).to_le_bytes();
-            bad_magic[payload_len..].copy_from_slice(&digest);
-            bad_magic
+        // Edit one byte and re-sign the trailer, so the checksum passes.
+        let edited = |at: usize, byte: u8| {
+            let mut blob = bytes.clone();
+            blob[at] = byte;
+            let payload_len = blob.len() - 8;
+            let digest = fnv1a(blob[..payload_len].iter().copied()).to_le_bytes();
+            blob[payload_len..].copy_from_slice(&digest);
+            blob
         };
         assert_eq!(
-            ReachIndex::from_bytes(&fixed),
+            ReachIndex::from_bytes(&edited(0, b'X')),
             Err(IndexCodecError::BadMagic)
+        );
+        // Broker 1's live flag follows the 25-byte header and the 8-byte
+        // roster. Cleared, every field still parses, but the flag now
+        // contradicts the empty fault sets.
+        assert_eq!(bytes[33], 1);
+        assert_eq!(
+            ReachIndex::from_bytes(&edited(33, 0)),
+            Err(IndexCodecError::Corrupt("index.live-consistent"))
         );
         // A header claiming u32::MAX brokers with no roster behind it must
         // be rejected before anything is sized by that count.

@@ -17,7 +17,7 @@ use netgraph::{
     Validate,
 };
 use proptest::prelude::*;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 const N: u32 = 14;
 const MAX_L: usize = 4;
@@ -112,10 +112,14 @@ fn masked_adjacency(g: &Graph, alive: &BTreeSet<u32>, state: &FaultState) -> Vec
     adj
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "R6: the oracle BFS shares no code with the index under test"
+)]
 fn ref_bfs(adj: &[Vec<usize>], src: usize) -> Vec<Option<u32>> {
     let mut dist = vec![None; adj.len()];
     dist[src] = Some(0);
-    let mut queue = VecDeque::from([src]);
+    let mut queue = std::collections::VecDeque::from([src]);
     while let Some(u) = queue.pop_front() {
         let du = dist[u].expect("queued vertices have distances");
         for &v in &adj[u] {

@@ -66,6 +66,10 @@ impl TableGame {
             "U(empty) must be 0, got {}",
             values[0]
         );
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "R7: log2 of a 2^n coalition table is domain math, not a bitset"
+        )]
         let n = values.len().trailing_zeros() as usize;
         TableGame { values, n }
     }
@@ -209,6 +213,10 @@ pub fn is_in_core<G: CharacteristicFn>(game: &G, allocation: &[f64], tol: f64) -
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R7: test games are defined by coalition size, |S| = popcount"
+)]
 mod tests {
     use super::*;
 

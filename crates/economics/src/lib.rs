@@ -23,7 +23,16 @@
 //! wires in coverage-based coalition values from `brokerset` while the
 //! unit tests use analytic fixtures.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "R1: library code returns typed errors"
+)]
+#![deny(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "R4: output belongs to the bin and bench layer"
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

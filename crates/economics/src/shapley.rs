@@ -56,6 +56,10 @@ pub fn shapley_exact<G: CharacteristicFn>(game: &G) -> ShapleyResult {
     let full = (1u32 << n) - 1;
     let mut values = vec![0.0f64; n];
     for s_mask in 0..=full {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "R7: |S| of a coalition mask is domain math, not a bitset"
+        )]
         let s = s_mask.count_ones() as usize;
         let v_s = game.value(s_mask);
         for (j, value) in values.iter_mut().enumerate() {
@@ -128,6 +132,10 @@ pub fn shapley_monte_carlo<G: CharacteristicFn, R: Rng>(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R7: test games are defined by coalition size, |S| = popcount"
+)]
 mod tests {
     use super::*;
     use crate::coalition::{FnGame, TableGame};

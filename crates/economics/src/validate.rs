@@ -154,6 +154,10 @@ impl Validate for BargainCertificate<'_> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R7: test games are defined by coalition size, |S| = popcount"
+)]
 mod tests {
     use super::*;
     use crate::bargain::{nash_bargain, nash_bargain_numeric};

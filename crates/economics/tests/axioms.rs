@@ -7,6 +7,10 @@
 //! These pin the *contracts* of Section 7 of the paper (Theorems 5-8)
 //! rather than implementation details, so they exercise only the public
 //! API.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R7: test games are defined by coalition size, |S| = popcount"
+)]
 
 use economics::coalition::{marginal_contribution, FnGame, TableGame};
 use economics::stackelberg::homogeneous_game;

@@ -60,7 +60,16 @@
 //! - [`obs`] — always-on observability: [`counter!`], [`histogram!`]
 //!   and [`span!`] macros plus the JSON-serializable [`obs::Snapshot`].
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "R1: library code returns typed errors"
+)]
+#![deny(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "R4: output belongs to the bin and bench layer"
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

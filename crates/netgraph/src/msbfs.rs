@@ -53,6 +53,10 @@
 //! assert_eq!(dist[0], vec![Some(0), Some(1), Some(2), Some(3)]);
 //! assert_eq!(dist[1], vec![Some(3), Some(2), Some(1), Some(0)]);
 //! ```
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R7: the 64-lane kernel owns the word-level lane tricks"
+)]
 
 use crate::view::GraphView;
 use crate::NodeId;

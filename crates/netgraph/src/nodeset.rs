@@ -4,6 +4,10 @@
 //! already covered?" and "how many new nodes would broker `w` cover?".
 //! A `u64`-word bitset answers both with word-parallel operations and is
 //! the working currency of `brokerset`.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R7: the bitset owns the word-level set tricks"
+)]
 
 use crate::NodeId;
 use serde::{Deserialize, Serialize};

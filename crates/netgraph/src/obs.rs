@@ -18,8 +18,8 @@
 //!   pinned bench checksums hold that).
 //! - **Span timers** ([`span!`](crate::span)) are RAII guards that record
 //!   elapsed wall-clock nanoseconds into a histogram on drop. This module
-//!   is the only product-library home of `std::time::Instant` (lint rule
-//!   R8 enforces that).
+//!   is the only product-library home of `std::time::Instant` (rule R8,
+//!   enforced by `clippy.toml`).
 //! - A [`Snapshot`] captures every registered metric, merged by name and
 //!   sorted, and serializes to JSON with a hand-rolled writer — snapshots
 //!   of the same program state are deterministic byte-for-byte.
@@ -35,6 +35,10 @@
 //! `layer.metric` with dots: `msbfs.levels`, `arena.pool.acquire`,
 //! `par.chunks_per_worker`. Two macro call sites may share a name; their
 //! contributions merge in the snapshot.
+#![expect(
+    clippy::disallowed_types,
+    reason = "R8: the obs layer owns the clock that span! reads"
+)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,6 +65,10 @@ pub fn bucket_low(i: usize) -> u64 {
 }
 
 /// The bucket index a value lands in: 0 for 0, else `64 - leading_zeros`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R7: a log2 histogram bucket is one word op, not a bitset"
+)]
 pub fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0

@@ -32,6 +32,10 @@
 //!
 //! A map issued *from a helper* runs inline on that helper, so nested
 //! fan-out never multiplies the thread count.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R13: the executor is the one place that creates threads"
+)]
 
 use std::cell::Cell;
 use std::panic::resume_unwind;

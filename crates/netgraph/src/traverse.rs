@@ -21,6 +21,10 @@
 //!
 //! Convenience wrappers (allocating, for one-shot use and doctests):
 //! [`bfs_distances`], [`bfs_parents`].
+#![expect(
+    clippy::disallowed_types,
+    reason = "R6: this engine is the one home of the BFS queue"
+)]
 
 use crate::view::{FullView, GraphView};
 use crate::{Graph, NodeId};

@@ -11,7 +11,7 @@ use netgraph::{
     MaskedView, NodeId, NodeSet, TraversalArena,
 };
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashSet};
 
 fn arb_edges(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
     proptest::collection::vec((0..n, 0..n), 0..max_edges)
@@ -31,6 +31,10 @@ fn node_set(n: usize, ids: &HashSet<u32>) -> NodeSet {
 
 /// Naive bounded BFS over `(node_ok, edge_ok)` predicates: the semantics
 /// each view documents, implemented without the engine.
+#[expect(
+    clippy::disallowed_types,
+    reason = "R6: the oracle BFS shares no code with the engine under test"
+)]
 fn reference_bfs(
     g: &Graph,
     src: NodeId,
@@ -43,7 +47,7 @@ fn reference_bfs(
         return dist;
     }
     dist[src.index()] = Some(0);
-    let mut queue = VecDeque::from([src]);
+    let mut queue = std::collections::VecDeque::from([src]);
     while let Some(u) = queue.pop_front() {
         let du = dist[u.index()].unwrap();
         if du >= max_depth {

@@ -18,7 +18,6 @@ use netgraph::{
     GraphBuilder, GraphView, MaskedView, NodeId,
 };
 use proptest::prelude::*;
-use std::collections::VecDeque;
 
 const N: u32 = 16;
 
@@ -119,10 +118,14 @@ fn rebuild_survivors(g: &Graph, state: &FaultState) -> Graph {
 }
 
 /// Hand-rolled queue BFS on the rebuilt subgraph — no engine code.
+#[expect(
+    clippy::disallowed_types,
+    reason = "R6: the oracle BFS shares no code with the engine under test"
+)]
 fn reference_bfs(g: &Graph, src: NodeId) -> Vec<Option<u32>> {
     let mut dist = vec![None; g.node_count()];
     dist[src.index()] = Some(0u32);
-    let mut queue = VecDeque::from([src]);
+    let mut queue = std::collections::VecDeque::from([src]);
     while let Some(u) = queue.pop_front() {
         let du = dist[u.index()].unwrap();
         for &v in g.neighbors(u) {

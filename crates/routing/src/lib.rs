@@ -20,7 +20,16 @@
 //!   synthetic per-edge latency model ([`qos`]) to compare broker paths
 //!   against BGP-style valley-free defaults.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "R1: library code returns typed errors"
+)]
+#![deny(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "R4: output belongs to the bin and bench layer"
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

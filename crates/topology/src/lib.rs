@@ -26,7 +26,16 @@
 //! assert!(stats.giant_component_fraction() > 0.95);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "R1: library code returns typed errors"
+)]
+#![deny(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "R4: output belongs to the bin and bench layer"
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

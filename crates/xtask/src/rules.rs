@@ -1,28 +1,26 @@
-//! The R1-R15 rule set and per-file checking.
+//! The rules xtask still checks itself, and per-file checking.
 //!
-//! R1-R8 are token-level rewrites of the original line rules (strictly
-//! fewer false negatives: `.unwrap ()` with interior whitespace, renamed
-//! imports spelled out token-by-token). R9-R11 are semantic rules over
-//! the item tree: no `HashMap`/`HashSet` iteration in product library
-//! code, f64 reductions in threaded paths confined to the blessed
-//! chunk-ordered reducers in `netgraph::par`, and `Ordering::Relaxed`
-//! confined to the observability layer. R12 is a workspace rule (every
-//! pub constructor-bearing product type needs a `Validate` impl) checked
-//! by [`crate::symbols::SymbolTable`] after all files are absorbed.
-//! R13 confines thread creation (`thread::spawn` / `thread::scope` /
-//! `thread::Builder`) to the executor in `netgraph/src/par.rs`.
-//! R14 confines raw socket types (`TcpListener` / `TcpStream` /
-//! `UdpSocket`) to the framed wire protocol module in `src/proto.rs` —
-//! and, unlike most rules, it also applies to binaries: the serving
-//! path must not grow a second, unframed I/O dialect.
-//! R15 confines topological-sort machinery (identifiers spelling out
-//! toposort / Kahn / in-degree bookkeeping) to the dependency-DAG
-//! planner in `crates/routing/src/plan.rs`: ad-hoc `Vec`-based
-//! toposorts elsewhere fork the scheduling logic whose cut safety the
-//! plan certificate audits.
+//! These are the rules clippy and rustc cannot express by type. R5 reads
+//! comments, which the compiler never sees. R9-R11 are semantic rules
+//! over the item tree: no `HashMap`/`HashSet` iteration in product
+//! library code, f64 reductions in threaded paths confined to the
+//! blessed chunk-ordered reducers in `netgraph::par`, and
+//! `Ordering::Relaxed` confined to the observability layer. R12 is a
+//! workspace rule (every pub constructor-bearing product type needs a
+//! `Validate` impl) checked by [`crate::symbols::SymbolTable`] after all
+//! files are absorbed. R15 confines topological-sort machinery
+//! (identifiers spelling out toposort / Kahn / in-degree bookkeeping) to
+//! the dependency-DAG planner in `crates/routing/src/plan.rs`: ad-hoc
+//! `Vec`-based toposorts elsewhere fork the scheduling logic whose cut
+//! safety the plan certificate audits.
+//!
+//! The other rule ids are enforced by the toolchain (DESIGN.md §6b):
+//! R1/R4 by clippy lints denied at the product library roots, R3 by the
+//! workspace `unsafe_code` and `missing_docs` lints, R6-R8, R13 and R14
+//! by `clippy.toml` bans, and R2 by the vendored `rand`, which has no
+//! unseeded entry points.
 
 use std::collections::BTreeSet;
-use std::fmt;
 
 use crate::itemtree::{self, ItemTree};
 use crate::lexer::{self, Tok, TokKind};
@@ -31,30 +29,8 @@ use crate::Violation;
 /// Identifier of a lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// No `.unwrap()` / `.expect(` in product-crate library code.
-    NoUnwrap,
-    /// No non-seeded RNG outside `#[cfg(test)]`.
-    NoUnseededRng,
-    /// Crate roots must carry `#![forbid(unsafe_code)]` and a `//!` header.
-    CrateRootHygiene,
-    /// No `println!` / `print!` / `dbg!` in product-crate library code.
-    NoPrintInLib,
     /// `TODO` / `FIXME` comments must reference an issue (`#123`).
     TodoNeedsIssue,
-    /// No ad-hoc `VecDeque` BFS in product library code: traversal goes
-    /// through `netgraph::traverse` (independent re-verification code is
-    /// allowlisted).
-    NoAdhocBfs,
-    /// No hand-rolled frontier/word-manipulation loops (`count_ones`,
-    /// `trailing_zeros`, `leading_zeros`) in product library code outside
-    /// `netgraph/src/msbfs.rs` and `netgraph/src/nodeset.rs`: bit-level
-    /// set machinery belongs to the kernel, consumers use its `LaneSet` /
-    /// `Wavefront` / `NodeSet` APIs.
-    NoAdhocWordOps,
-    /// No `std::time::Instant` in product library code outside
-    /// `netgraph/src/obs.rs`: ad-hoc timing belongs to the observability
-    /// layer (`span!` records into the global registry).
-    NoRawInstant,
     /// No iteration over `HashMap`/`HashSet` in product library code:
     /// hash iteration order is nondeterministic and must never reach a
     /// result, a trace, or an RNG consumption order. Use `BTreeMap` /
@@ -73,18 +49,6 @@ pub enum Rule {
     /// `impl Validate` somewhere in the workspace, so the certificate
     /// chain (`debug_validate`) covers it.
     ValidateCoverage,
-    /// No `thread::spawn` / `thread::scope` / `thread::Builder` in
-    /// product library code outside `netgraph/src/par.rs`: ad-hoc
-    /// threads bypass the executor (its thread budget and `par.*`
-    /// counters) and reintroduce scheduling-ordered merges the
-    /// executor exists to prevent.
-    NoAdhocThreads,
-    /// No raw socket types (`TcpListener` / `TcpStream` / `UdpSocket`)
-    /// outside `src/proto.rs` — in library code *or* binaries. The
-    /// framed protocol module owns transport: length prefixes, frame
-    /// caps and error replies live in one place, so a stray
-    /// `TcpStream::connect` cannot bypass them.
-    NoRawSockets,
     /// No ad-hoc topological-sort machinery in product library code
     /// outside `crates/routing/src/plan.rs`: identifiers spelling out
     /// toposort/Kahn/in-degree bookkeeping mark a second DAG scheduler
@@ -95,43 +59,25 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Every rule, in id order (used by the SARIF rules array and
-    /// `--explain` listings).
-    pub const ALL: [Rule; 15] = [
-        Rule::NoUnwrap,
-        Rule::NoUnseededRng,
-        Rule::CrateRootHygiene,
-        Rule::NoPrintInLib,
+    /// Every rule, in id order (used by the report sort and `--explain`
+    /// listings).
+    pub const ALL: [Rule; 6] = [
         Rule::TodoNeedsIssue,
-        Rule::NoAdhocBfs,
-        Rule::NoAdhocWordOps,
-        Rule::NoRawInstant,
         Rule::NoHashIteration,
         Rule::UnorderedFloatMerge,
         Rule::NoRelaxedOrdering,
         Rule::ValidateCoverage,
-        Rule::NoAdhocThreads,
-        Rule::NoRawSockets,
         Rule::NoAdhocToposort,
     ];
 
-    /// Short stable identifier (`R1`..`R15`) used in reports and allowlists.
+    /// Short stable identifier (`R5`, `R9`..`R12`, `R15`) used in reports.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => "R1",
-            Rule::NoUnseededRng => "R2",
-            Rule::CrateRootHygiene => "R3",
-            Rule::NoPrintInLib => "R4",
             Rule::TodoNeedsIssue => "R5",
-            Rule::NoAdhocBfs => "R6",
-            Rule::NoAdhocWordOps => "R7",
-            Rule::NoRawInstant => "R8",
             Rule::NoHashIteration => "R9",
             Rule::UnorderedFloatMerge => "R10",
             Rule::NoRelaxedOrdering => "R11",
             Rule::ValidateCoverage => "R12",
-            Rule::NoAdhocThreads => "R13",
-            Rule::NoRawSockets => "R14",
             Rule::NoAdhocToposort => "R15",
         }
     }
@@ -144,22 +90,7 @@ impl Rule {
     /// One-line description for reports.
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => "no unwrap()/expect() in library code (use the crate error types)",
-            Rule::NoUnseededRng => "no non-seeded RNG outside #[cfg(test)]",
-            Rule::CrateRootHygiene => {
-                "crate root must start with a //! header and forbid unsafe_code"
-            }
-            Rule::NoPrintInLib => "no println!/print!/dbg! in library code",
             Rule::TodoNeedsIssue => "TODO/FIXME must reference an issue (#N)",
-            Rule::NoAdhocBfs => {
-                "no ad-hoc VecDeque BFS in library code (use netgraph::traverse + GraphView)"
-            }
-            Rule::NoAdhocWordOps => {
-                "no hand-rolled word-manipulation loops in library code (use netgraph::msbfs / NodeSet)"
-            }
-            Rule::NoRawInstant => {
-                "no std::time::Instant in library code (use netgraph's span! observability macro)"
-            }
             Rule::NoHashIteration => {
                 "no HashMap/HashSet iteration in library code (use BTreeMap/BTreeSet or sort first)"
             }
@@ -172,12 +103,6 @@ impl Rule {
             Rule::ValidateCoverage => {
                 "pub constructor-bearing product types need an impl Validate certificate"
             }
-            Rule::NoAdhocThreads => {
-                "no thread::spawn/scope/Builder outside netgraph/src/par.rs (use netgraph::par)"
-            }
-            Rule::NoRawSockets => {
-                "no TcpListener/TcpStream/UdpSocket outside src/proto.rs (use proto::Listener/Conn)"
-            }
             Rule::NoAdhocToposort => {
                 "no ad-hoc toposort/Kahn machinery outside routing/src/plan.rs (use ReconfigPlan)"
             }
@@ -187,75 +112,10 @@ impl Rule {
     /// Long-form rationale for `xtask lint --explain RN`.
     pub fn explain(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => {
-                "R1 NoUnwrap\n\
-                 Library code in the product crates must not call .unwrap() or\n\
-                 .expect(...). A panic in an evaluator aborts a whole sweep and\n\
-                 loses the partial results; the crate error types exist so the\n\
-                 caller decides. Deliberate constructor-contract panics are\n\
-                 allowlisted individually in crates/xtask/lint.allow.\n\
-                 Fix: return Result via the crate's error enum, or restructure\n\
-                 so the impossible case is unrepresentable."
-            }
-            Rule::NoUnseededRng => {
-                "R2 NoUnseededRng\n\
-                 thread_rng()/rand::random seed from the OS, so two runs of the\n\
-                 same experiment disagree and no figure is reproducible. All\n\
-                 randomness flows from an explicit u64 seed (StdRng::seed_from_u64)\n\
-                 recorded next to the result. Benches included: a bench that\n\
-                 cannot be re-run on the same input measures nothing.\n\
-                 Fix: thread a seed parameter in; tests may keep thread_rng\n\
-                 inside #[cfg(test)]."
-            }
-            Rule::CrateRootHygiene => {
-                "R3 CrateRootHygiene\n\
-                 Every crate root starts with a //! doc header (what the crate\n\
-                 is for) and #![forbid(unsafe_code)] (the whole workspace is\n\
-                 safe Rust; determinism auditing assumes no data races by\n\
-                 construction).\n\
-                 Fix: add the header and the forbid attribute at the top of\n\
-                 lib.rs."
-            }
-            Rule::NoPrintInLib => {
-                "R4 NoPrintInLib\n\
-                 println!/print!/dbg! in library code interleaves with real\n\
-                 output nondeterministically under threads and poisons golden\n\
-                 files. Output belongs to the bin/bench layer; diagnostics go\n\
-                 through the obs layer's counters and spans.\n\
-                 Fix: delete the print, or return the value so the caller can\n\
-                 report it."
-            }
             Rule::TodoNeedsIssue => {
                 "R5 TodoNeedsIssue\n\
                  TODO/FIXME comments rot unless they cite a tracking issue.\n\
                  Fix: write TODO(#123): ... or resolve the debt on the spot."
-            }
-            Rule::NoAdhocBfs => {
-                "R6 NoAdhocBfs\n\
-                 Hand-rolled VecDeque traversals fork the reachability logic:\n\
-                 when valley-free filtering or masking changes, the copies\n\
-                 drift. netgraph::traverse + GraphView is the one BFS. The\n\
-                 brokerset re-verification BFS is allowlisted because an\n\
-                 auditor must stay structurally independent of the engine it\n\
-                 audits.\n\
-                 Fix: express the walk as a GraphView and call traverse/msbfs."
-            }
-            Rule::NoAdhocWordOps => {
-                "R7 NoAdhocWordOps\n\
-                 count_ones/trailing_zeros/leading_zeros loops are the\n\
-                 signature of a hand-rolled bitset frontier. The 64-lane\n\
-                 machinery in netgraph/src/{msbfs,nodeset}.rs owns word-level\n\
-                 tricks; consumers use LaneSet/Wavefront/NodeSet so lane\n\
-                 semantics stay in one place. Coalition-mask arithmetic in\n\
-                 economics (popcount = |S|) is allowlisted as domain math.\n\
-                 Fix: use NodeSet/msbfs APIs, or justify an allowlist entry."
-            }
-            Rule::NoRawInstant => {
-                "R8 NoRawInstant\n\
-                 std::time::Instant in product code invents a second metrics\n\
-                 channel beside the obs layer. netgraph/src/obs.rs owns the\n\
-                 clock, and span! records into its registry.\n\
-                 Fix: wrap the region in span!(\"name\") instead."
             }
             Rule::NoHashIteration => {
                 "R9 NoHashIteration\n\
@@ -313,34 +173,6 @@ impl Rule {
                  report) next to the type, and call debug_validate in its\n\
                  constructor or mutation points."
             }
-            Rule::NoAdhocThreads => {
-                "R13 NoAdhocThreads\n\
-                 thread::spawn / thread::scope / thread::Builder in product\n\
-                 library code fans out outside the executor: the work\n\
-                 skips the par.jobs/par.chunks accounting the obs suite\n\
-                 pins, ignores the --threads budget and the inline rule\n\
-                 for nested maps, and any merge of its results is ordered\n\
-                 by the OS scheduler rather than by chunk index, so the\n\
-                 thread-count bit-identity the determinism suites check\n\
-                 is no longer guaranteed. netgraph/src/par.rs owns thread\n\
-                 creation; everything else expresses parallelism as\n\
-                 map_chunks/map_auto/map_reduce calls.\n\
-                 Fix: route the fan-out through netgraph::par, or justify\n\
-                 an allowlist entry for work that cannot be a chunked map."
-            }
-            Rule::NoRawSockets => {
-                "R14 NoRawSockets\n\
-                 TcpListener / TcpStream / UdpSocket outside src/proto.rs\n\
-                 means a second I/O dialect next to the framed protocol:\n\
-                 unframed reads have no length-prefix discipline, no\n\
-                 MAX_FRAME cap, and no uniform error replies, so every\n\
-                 malformed-input guarantee the proto fuzz tests pin stops\n\
-                 covering that path. Unlike most rules this one also binds\n\
-                 binaries — brokerd and the bench clients speak through\n\
-                 proto::Listener / proto::Conn, which carry the framing.\n\
-                 Fix: express the endpoint through src/proto.rs (extend the\n\
-                 opcode set if the protocol is missing a verb)."
-            }
             Rule::NoAdhocToposort => {
                 "R15 NoAdhocToposort\n\
                  A dependency DAG scheduled by a hand-rolled Vec toposort is\n\
@@ -356,229 +188,80 @@ impl Rule {
                  product library code outside the planner file. Comments may\n\
                  say Kahn freely; the lexer never sees them.\n\
                  Fix: model the work as ReconfigPlan steps (or build the DAG\n\
-                 and call its layers()/execute()), or justify an allowlist\n\
-                 entry for a genuinely independent auditor."
+                 and call its layers()/execute())."
             }
         }
     }
 }
 
-impl fmt::Display for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.id())
-    }
-}
-
-/// The five crates whose library code carries the strict R1/R4 rules.
+/// The five crates whose library code carries the product-only rules.
 pub const PRODUCT_CRATES: [&str; 5] = ["netgraph", "topology", "brokerset", "routing", "economics"];
 
-/// How a file participates in the rule set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileClass {
-    /// `src/` of a product crate (or the root `broker-net` facade):
-    /// all rules apply.
-    ProductLib,
-    /// Library code of support crates (`xtask`): R2/R3/R5 only.
-    SupportLib,
-    /// Binaries (`src/bin/`, `src/main.rs`): user-facing I/O is the point.
-    Bin,
-    /// `tests/` trees and anything under `#[cfg(test)]`.
-    Test,
-    /// `benches/` trees: R1/R4 exempt, seeded RNG still required.
-    Bench,
-    /// `examples/` trees: narrative code, R2/R5 only.
-    Example,
-}
-
-/// Classify a workspace-relative path.
-pub fn classify(path: &str) -> FileClass {
-    if path.contains("/tests/") || path.starts_with("tests/") {
-        return FileClass::Test;
-    }
-    if path.contains("/benches/") || path.starts_with("benches/") {
-        return FileClass::Bench;
-    }
-    if path.contains("/examples/") || path.starts_with("examples/") {
-        return FileClass::Example;
-    }
-    if path.contains("src/bin/") || path.ends_with("src/main.rs") {
-        return FileClass::Bin;
-    }
-    let is_product = PRODUCT_CRATES
+/// Whether a workspace-relative path is product library code: `src/` of
+/// a product crate or of the root `broker-net` facade, minus binaries,
+/// tests, benches and examples. R9-R12 and R15 apply only there; R5
+/// applies everywhere.
+pub fn is_product_lib(path: &str) -> bool {
+    let excluded = ["tests/", "benches/", "examples/"]
         .iter()
-        .any(|c| path.starts_with(&format!("crates/{c}/src/")))
-        || path.starts_with("src/");
-    if is_product {
-        FileClass::ProductLib
-    } else {
-        FileClass::SupportLib
-    }
-}
-
-/// Whether this path is a crate root that R3 applies to.
-fn is_crate_root(path: &str) -> bool {
-    path == "src/lib.rs" || (path.starts_with("crates/") && path.ends_with("/src/lib.rs"))
+        .any(|d| path.starts_with(d) || path.contains(&format!("/{d}")))
+        || path.contains("src/bin/")
+        || path.ends_with("src/main.rs");
+    !excluded
+        && (path.starts_with("src/")
+            || PRODUCT_CRATES
+                .iter()
+                .any(|c| path.starts_with(&format!("crates/{c}/src/"))))
 }
 
 /// Per-file analysis output: the violations plus the item tree (the
 /// workspace pass feeds the tree to the symbol table for R12).
 pub struct FileAnalysis {
-    /// Violations found in this file (R1-R11, R13-R15; R12 is workspace-level).
+    /// Violations found in this file (every rule but the workspace-level R12).
     pub violations: Vec<Violation>,
     /// The file's item tree.
     pub tree: ItemTree,
 }
 
-/// Run every per-file rule over one file (compatibility wrapper).
-pub fn check_file(path: &str, text: &str) -> Vec<Violation> {
-    analyze_file(path, text).violations
-}
-
 /// Run every per-file rule over one file, keeping the item tree.
-#[allow(clippy::too_many_lines)]
 pub fn analyze_file(path: &str, text: &str) -> FileAnalysis {
-    let class = classify(path);
     let lexed = lexer::lex(text);
     let tree = itemtree::build(&lexed);
     let raw_lines: Vec<&str> = text.lines().collect();
     let toks = &lexed.toks;
 
     let mut out: Vec<Violation> = Vec::new();
-    // One violation per (rule, line), keeping allowlist entries 1:1 with
-    // report lines.
+    // One violation per (rule, line).
     let mut seen: BTreeSet<(&'static str, u32)> = BTreeSet::new();
-    macro_rules! push {
-        ($rule:expr, $line:expr) => {{
-            let line: u32 = $line;
-            let excerpt: String = raw_lines
-                .get(line as usize - 1)
-                .copied()
-                .unwrap_or_default()
-                .trim()
-                .chars()
-                .take(120)
-                .collect();
-            push!($rule, line, excerpt);
-        }};
-        ($rule:expr, $line:expr, $excerpt:expr) => {{
-            let rule: Rule = $rule;
-            let line: u32 = $line;
-            if seen.insert((rule.id(), line)) {
-                out.push(Violation {
-                    rule,
-                    path: path.to_string(),
-                    line: line as usize,
-                    excerpt: $excerpt.to_string(),
-                });
-            }
-        }};
-    }
+    let mut push = |rule: Rule, line: u32| {
+        if seen.insert((rule.id(), line)) {
+            out.push(Violation {
+                rule,
+                path: path.to_string(),
+                line: line as usize,
+                excerpt: raw_lines
+                    .get(line as usize - 1)
+                    .copied()
+                    .unwrap_or_default()
+                    .trim()
+                    .chars()
+                    .take(120)
+                    .collect(),
+            });
+        }
+    };
 
-    let product = class == FileClass::ProductLib;
+    let product = is_product_lib(path);
 
-    // --- Token-scan rules (R1, R2, R4, R6-R8, R11, R13-R15). ---
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
+    // --- Token-scan rules (R11, R15), product library code only. ---
+    for t in toks {
+        if !product || t.kind != TokKind::Ident || tree.line_in_test(t.line) {
             continue;
-        }
-        let in_test = tree.line_in_test(t.line);
-        let prev_is = |s: &str| i.checked_sub(1).is_some_and(|p| toks[p].is_punct(s));
-        let next_is = |s: &str| toks.get(i + 1).is_some_and(|n| n.is_punct(s));
-
-        // R1: `.unwrap (` / `.expect (` — token-level, so interior
-        // whitespace or line breaks between the dot and the call no
-        // longer hide it from the lint.
-        if product
-            && !in_test
-            && prev_is(".")
-            && next_is("(")
-            && (t.text == "unwrap" || t.text == "expect")
-        {
-            push!(Rule::NoUnwrap, t.line);
-        }
-
-        // R2: unseeded RNG anywhere outside test code.
-        if class != FileClass::Test
-            && !in_test
-            && (t.text == "thread_rng"
-                || (t.text == "random"
-                    && prev_is("::")
-                    && i.checked_sub(2).is_some_and(|p| toks[p].is_ident("rand"))))
-        {
-            push!(Rule::NoUnseededRng, t.line);
-        }
-
-        // R4: stdout noise in product library code.
-        if product
-            && !in_test
-            && next_is("!")
-            && matches!(
-                t.text.as_str(),
-                "println" | "print" | "dbg" | "eprintln" | "eprint"
-            )
-        {
-            push!(Rule::NoPrintInLib, t.line);
-        }
-
-        // R6: queue-based traversal in product library code must live in
-        // the engine. Matching `VecDeque` is deliberately coarse — any
-        // hand-rolled wavefront needs a queue, and the engine file is the
-        // one place allowed to own it. Validators that must stay
-        // structurally independent are allowlisted, not exempted here.
-        if product && !in_test && path != "crates/netgraph/src/traverse.rs" && t.text == "VecDeque"
-        {
-            push!(Rule::NoAdhocBfs, t.line);
-        }
-
-        // R7: word-level bit manipulation belongs to the bitset kernel.
-        if product
-            && !in_test
-            && path != "crates/netgraph/src/msbfs.rs"
-            && path != "crates/netgraph/src/nodeset.rs"
-            && path != "crates/netgraph/src/obs.rs"
-            && prev_is(".")
-            && next_is("(")
-            && matches!(
-                t.text.as_str(),
-                "count_ones" | "trailing_zeros" | "leading_zeros"
-            )
-        {
-            push!(Rule::NoAdhocWordOps, t.line);
-        }
-
-        // R8: wall-clock timing goes through the observability layer.
-        if product && !in_test && path != "crates/netgraph/src/obs.rs" && t.text == "Instant" {
-            push!(Rule::NoRawInstant, t.line);
         }
 
         // R11: relaxed atomics are an obs-layer privilege.
-        if product && !in_test && path != "crates/netgraph/src/obs.rs" && t.text == "Relaxed" {
-            push!(Rule::NoRelaxedOrdering, t.line);
-        }
-
-        // R13: thread creation is an executor privilege. Matches
-        // `thread::spawn`, `thread::scope` and `thread::Builder` (incl.
-        // the `std::thread::...` spelling — the `thread` segment is the
-        // one before the final `::`).
-        if product
-            && !in_test
-            && path != "crates/netgraph/src/par.rs"
-            && prev_is("::")
-            && i.checked_sub(2).is_some_and(|p| toks[p].is_ident("thread"))
-            && matches!(t.text.as_str(), "spawn" | "scope" | "Builder")
-        {
-            push!(Rule::NoAdhocThreads, t.line);
-        }
-
-        // R14: raw socket types are a proto-module privilege — in
-        // library code AND binaries (the serving path must not grow an
-        // unframed side channel around proto::Listener / proto::Conn).
-        if (product || class == FileClass::Bin)
-            && !in_test
-            && path != "src/proto.rs"
-            && matches!(t.text.as_str(), "TcpListener" | "TcpStream" | "UdpSocket")
-        {
-            push!(Rule::NoRawSockets, t.line);
+        if path != "crates/netgraph/src/obs.rs" && t.text == "Relaxed" {
+            push(Rule::NoRelaxedOrdering, t.line);
         }
 
         // R15: topological-sort machinery is a planner privilege. The
@@ -586,7 +269,7 @@ pub fn analyze_file(path: &str, text: &str) -> FileAnalysis {
         // `topo_order` and friends wherever they appear in an
         // identifier; the in-degree spellings match exactly so that
         // e.g. `min_degree` stays clean.
-        if product && !in_test && path != "crates/routing/src/plan.rs" {
+        if path != "crates/routing/src/plan.rs" {
             let lower = t.text.to_ascii_lowercase();
             let spelled = [
                 "toposort",
@@ -600,7 +283,7 @@ pub fn analyze_file(path: &str, text: &str) -> FileAnalysis {
                 || lower == "in_degree"
                 || lower == "indegree";
             if spelled {
-                push!(Rule::NoAdhocToposort, t.line);
+                push(Rule::NoAdhocToposort, t.line);
             }
         }
     }
@@ -609,31 +292,7 @@ pub fn analyze_file(path: &str, text: &str) -> FileAnalysis {
     for (idx, line) in lexed.lines.iter().enumerate() {
         let comment = &line.comment;
         if (comment.contains("TODO") || comment.contains("FIXME")) && !has_issue_ref(comment) {
-            push!(Rule::TodoNeedsIssue, (idx + 1) as u32);
-        }
-    }
-
-    // --- R3: crate-root hygiene (doc header + forbid(unsafe_code)). ---
-    if is_crate_root(path) || path == "crates/xtask/src/lib.rs" {
-        // Pushed directly (not via the dedupe macro): both findings sit
-        // on line 1 and are distinct.
-        let mut hygiene = |excerpt: &str| {
-            out.push(Violation {
-                rule: Rule::CrateRootHygiene,
-                path: path.to_string(),
-                line: 1,
-                excerpt: excerpt.to_string(),
-            });
-        };
-        let starts_with_doc = text
-            .lines()
-            .find(|l| !l.trim().is_empty())
-            .is_some_and(|l| l.trim_start().starts_with("//!"));
-        if !starts_with_doc {
-            hygiene("crate root missing leading //! doc header");
-        }
-        if !text.contains("#![forbid(unsafe_code)]") {
-            hygiene("crate root missing #![forbid(unsafe_code)]");
+            push(Rule::TodoNeedsIssue, (idx + 1) as u32);
         }
     }
 
@@ -653,20 +312,20 @@ pub fn analyze_file(path: &str, text: &str) -> FileAnalysis {
                     if recv.kind == TokKind::Ident
                         && (marked.contains(&recv.text) || HASH_TYPES.contains(&recv.text.as_str()))
                     {
-                        push!(Rule::NoHashIteration, t.line);
+                        push(Rule::NoHashIteration, t.line);
                     }
                 }
             }
             // `for pat in <expr over a hash container> {`
             if t.text == "for" && for_loop_iterates_hash(toks, i, &marked) {
-                push!(Rule::NoHashIteration, t.line);
+                push(Rule::NoHashIteration, t.line);
             }
         }
     }
 
     // --- R10: float reductions in threaded merge paths. ---
     if product && path != "crates/netgraph/src/par.rs" {
-        check_float_merges(&tree, toks, |rule, line| push!(rule, line));
+        check_float_merges(&tree, toks, &mut push);
     }
 
     FileAnalysis {
@@ -998,106 +657,33 @@ fn has_issue_ref(comment: &str) -> bool {
 mod tests {
     use super::*;
 
-    #[test]
-    fn classification() {
-        assert_eq!(
-            classify("crates/netgraph/src/graph.rs"),
-            FileClass::ProductLib
-        );
-        assert_eq!(classify("src/lib.rs"), FileClass::ProductLib);
-        assert_eq!(classify("src/bin/broker_cli.rs"), FileClass::Bin);
-        assert_eq!(classify("crates/netgraph/tests/csr.rs"), FileClass::Test);
-        assert_eq!(classify("benches/coverage.rs"), FileClass::Bench);
-        assert_eq!(classify("examples/quickstart.rs"), FileClass::Example);
-        assert_eq!(classify("crates/xtask/src/rules.rs"), FileClass::SupportLib);
+    fn check_file(path: &str, text: &str) -> Vec<Violation> {
+        analyze_file(path, text).violations
     }
 
     #[test]
-    fn r1_fires_in_lib_not_in_tests() {
-        let src = "\
-//! doc
-#![forbid(unsafe_code)]
-pub fn f(x: Option<u32>) -> u32 { x.unwrap() }
-#[cfg(test)]
-mod tests {
-    fn t() { Some(1).unwrap(); }
-}
-";
-        let v = check_file("crates/netgraph/src/lib.rs", src);
-        let r1: Vec<_> = v.iter().filter(|v| v.rule == Rule::NoUnwrap).collect();
-        assert_eq!(r1.len(), 1);
-        assert_eq!(r1[0].line, 3);
+    fn product_library_paths() {
+        for path in [
+            "crates/netgraph/src/graph.rs",
+            "crates/economics/src/shapley.rs",
+            "src/lib.rs",
+            "src/proto.rs",
+        ] {
+            assert!(is_product_lib(path), "{path}");
+        }
+        for path in [
+            "src/bin/broker_cli.rs",
+            "crates/netgraph/tests/csr.rs",
+            "tests/cli.rs",
+            "benches/coverage.rs",
+            "examples/quickstart.rs",
+            "crates/xtask/src/rules.rs",
+            "crates/xtask/src/main.rs",
+            "crates/bench/src/lib.rs",
+        ] {
+            assert!(!is_product_lib(path), "{path}");
+        }
     }
-
-    #[test]
-    fn r1_sees_through_whitespace_tricks() {
-        // Whitespace inside `.unwrap ()` does not hide the call.
-        let src = "pub fn f(x: Option<u32>) -> u32 { x.unwrap () }";
-        let v = check_file("crates/netgraph/src/x.rs", src);
-        assert!(v.iter().any(|v| v.rule == Rule::NoUnwrap));
-        let src = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap\n        ()\n}";
-        let v = check_file("crates/netgraph/src/x.rs", src);
-        assert!(v.iter().any(|v| v.rule == Rule::NoUnwrap));
-    }
-
-    #[test]
-    fn r1_ignores_strings_comments_and_bins() {
-        let src = "// call .unwrap() later\nlet s = \".unwrap()\";\n";
-        assert!(check_file("crates/routing/src/x.rs", src)
-            .iter()
-            .all(|v| v.rule != Rule::NoUnwrap));
-        let src = "fn main() { std::env::args().next().unwrap(); }";
-        assert!(check_file("src/bin/cli.rs", src)
-            .iter()
-            .all(|v| v.rule != Rule::NoUnwrap));
-    }
-
-    #[test]
-    fn r2_fires_outside_tests() {
-        let src = "let mut rng = rand::thread_rng();";
-        let v = check_file("crates/topology/src/x.rs", src);
-        assert!(v.iter().any(|v| v.rule == Rule::NoUnseededRng));
-        // Exempt inside #[cfg(test)].
-        let src = "#[cfg(test)]\nmod t { fn f() { let r = rand::thread_rng(); } }";
-        let v = check_file("crates/topology/src/x.rs", src);
-        assert!(v.iter().all(|v| v.rule != Rule::NoUnseededRng));
-        // Benches are NOT exempt: they must seed for reproducibility.
-        let src = "let x = rand::random::<u64>();";
-        let v = check_file("benches/b.rs", src);
-        assert!(v.iter().any(|v| v.rule == Rule::NoUnseededRng));
-    }
-
-    #[test]
-    fn r3_checks_crate_roots_only() {
-        let bad = "pub fn f() {}\n";
-        let v = check_file("crates/routing/src/lib.rs", bad);
-        assert_eq!(
-            v.iter()
-                .filter(|v| v.rule == Rule::CrateRootHygiene)
-                .count(),
-            2,
-            "missing header AND missing forbid"
-        );
-        assert!(check_file("crates/routing/src/paths.rs", bad)
-            .iter()
-            .all(|v| v.rule != Rule::CrateRootHygiene));
-        let good = "//! Docs.\n#![forbid(unsafe_code)]\npub fn f() {}\n";
-        assert!(check_file("crates/routing/src/lib.rs", good)
-            .iter()
-            .all(|v| v.rule != Rule::CrateRootHygiene));
-    }
-
-    #[test]
-    fn r4_fires_in_lib_only() {
-        let src = "pub fn f() { println!(\"x\"); }";
-        assert!(check_file("crates/economics/src/x.rs", src)
-            .iter()
-            .any(|v| v.rule == Rule::NoPrintInLib));
-        assert!(check_file("src/bin/cli.rs", src)
-            .iter()
-            .all(|v| v.rule != Rule::NoPrintInLib));
-    }
-
     #[test]
     fn r5_requires_issue_ref() {
         let v = check_file("crates/netgraph/src/x.rs", "// TODO: fix this\n");
@@ -1107,118 +693,6 @@ mod tests {
         // A marker inside a string is code, not a comment -> no violation.
         let v = check_file("crates/netgraph/src/x.rs", "let s = \"TODO later\";\n");
         assert!(v.iter().all(|v| v.rule != Rule::TodoNeedsIssue));
-    }
-
-    #[test]
-    fn r6_flags_adhoc_bfs_outside_the_engine() {
-        let src = "use std::collections::VecDeque;\nlet mut q = VecDeque::new();\n";
-        // Product library code outside the engine: both lines fire —
-        // including the fault/chaos layers, which must traverse through
-        // the engine like everyone else.
-        for path in [
-            "crates/brokerset/src/coverage.rs",
-            "crates/netgraph/src/fault.rs",
-            "crates/brokerset/src/chaos.rs",
-            "crates/routing/src/chaos.rs",
-        ] {
-            let v = check_file(path, src);
-            assert_eq!(
-                v.iter().filter(|v| v.rule == Rule::NoAdhocBfs).count(),
-                2,
-                "{path}"
-            );
-        }
-        // The engine itself owns the queue.
-        let v = check_file("crates/netgraph/src/traverse.rs", src);
-        assert!(v.iter().all(|v| v.rule != Rule::NoAdhocBfs));
-        // Tests, benches and bins may hand-roll references freely.
-        for path in [
-            "crates/netgraph/tests/engine_props.rs",
-            "benches/b.rs",
-            "src/bin/cli.rs",
-        ] {
-            let v = check_file(path, src);
-            assert!(v.iter().all(|v| v.rule != Rule::NoAdhocBfs), "{path}");
-        }
-        // #[cfg(test)] modules inside product libs are exempt too.
-        let src = "#[cfg(test)]\nmod t { use std::collections::VecDeque; }\n";
-        let v = check_file("crates/brokerset/src/coverage.rs", src);
-        assert!(v.iter().all(|v| v.rule != Rule::NoAdhocBfs));
-    }
-
-    #[test]
-    fn r7_confines_word_ops_to_the_bitset_files() {
-        let src = "let c = mask.count_ones();\nlet b = mask.trailing_zeros();\nlet l = mask.leading_zeros();\n";
-        // Product library code outside the kernel: all three lines fire —
-        // the fault/chaos layers get no special dispensation either.
-        for path in [
-            "crates/brokerset/src/coverage.rs",
-            "crates/netgraph/src/fault.rs",
-            "crates/brokerset/src/chaos.rs",
-        ] {
-            let v = check_file(path, src);
-            assert_eq!(
-                v.iter().filter(|v| v.rule == Rule::NoAdhocWordOps).count(),
-                3,
-                "{path}"
-            );
-        }
-        // The kernel, the bitset and the histogram bucketing own the
-        // word loops.
-        for path in [
-            "crates/netgraph/src/msbfs.rs",
-            "crates/netgraph/src/nodeset.rs",
-            "crates/netgraph/src/obs.rs",
-        ] {
-            let v = check_file(path, src);
-            assert!(v.iter().all(|v| v.rule != Rule::NoAdhocWordOps), "{path}");
-        }
-        // Tests, benches and bins may bit-twiddle freely.
-        for path in [
-            "crates/netgraph/tests/engine_props.rs",
-            "benches/b.rs",
-            "src/bin/cli.rs",
-        ] {
-            let v = check_file(path, src);
-            assert!(v.iter().all(|v| v.rule != Rule::NoAdhocWordOps), "{path}");
-        }
-        // #[cfg(test)] modules inside product libs are exempt too.
-        let src = "#[cfg(test)]\nmod t { fn f() { 3u32.count_ones(); } }\n";
-        let v = check_file("crates/economics/src/shapley.rs", src);
-        assert!(v.iter().all(|v| v.rule != Rule::NoAdhocWordOps));
-    }
-
-    #[test]
-    fn r8_confines_instant_to_the_obs_layer() {
-        let src = "let t0 = std::time::Instant::now();\n";
-        // Product library code outside obs: fires. Chaos epochs are
-        // logical time — wall clocks stay confined to the obs layer.
-        for path in [
-            "crates/brokerset/src/coverage.rs",
-            "crates/netgraph/src/fault.rs",
-            "crates/brokerset/src/chaos.rs",
-            "crates/routing/src/chaos.rs",
-        ] {
-            let v = check_file(path, src);
-            assert!(v.iter().any(|v| v.rule == Rule::NoRawInstant), "{path}");
-        }
-        // The observability layer owns the clock.
-        let v = check_file("crates/netgraph/src/obs.rs", src);
-        assert!(v.iter().all(|v| v.rule != Rule::NoRawInstant));
-        // Tests, benches, bins and support crates may time freely.
-        for path in [
-            "crates/netgraph/tests/engine_props.rs",
-            "benches/b.rs",
-            "src/bin/cli.rs",
-            "crates/bench/src/lib.rs",
-        ] {
-            let v = check_file(path, src);
-            assert!(v.iter().all(|v| v.rule != Rule::NoRawInstant), "{path}");
-        }
-        // #[cfg(test)] modules inside product libs are exempt too.
-        let src = "#[cfg(test)]\nmod t { fn f() { std::time::Instant::now(); } }\n";
-        let v = check_file("crates/routing/src/stitch.rs", src);
-        assert!(v.iter().all(|v| v.rule != Rule::NoRawInstant));
     }
 
     #[test]
@@ -1407,35 +881,6 @@ pub fn count(threads: usize) -> u64 {
     }
 
     #[test]
-    fn r13_confines_thread_creation_to_par() {
-        for src in [
-            "pub fn f() { std::thread::spawn(|| ()); }",
-            "pub fn f() { thread::scope(|s| { s.spawn(|| ()); }); }",
-            "pub fn f() { let b = std::thread::Builder::new(); drop(b); }",
-        ] {
-            let v = check_file("crates/brokerset/src/x.rs", src);
-            assert!(v.iter().any(|v| v.rule == Rule::NoAdhocThreads), "{src}");
-            // The executor owns thread creation.
-            let v = check_file("crates/netgraph/src/par.rs", src);
-            assert!(v.iter().all(|v| v.rule != Rule::NoAdhocThreads), "{src}");
-            // Bins and support crates are out of scope.
-            let v = check_file("src/bin/cli.rs", src);
-            assert!(v.iter().all(|v| v.rule != Rule::NoAdhocThreads), "{src}");
-            let v = check_file("crates/xtask/src/x.rs", src);
-            assert!(v.iter().all(|v| v.rule != Rule::NoAdhocThreads), "{src}");
-        }
-        // Test modules inside product files may spawn freely.
-        let src = "#[cfg(test)]\nmod t { fn f() { std::thread::spawn(|| ()); } }";
-        let v = check_file("crates/brokerset/src/x.rs", src);
-        assert!(v.iter().all(|v| v.rule != Rule::NoAdhocThreads));
-        // Unrelated idents named spawn/scope without the thread path
-        // segment do not fire.
-        let src = "pub fn f() { pool.spawn(|| ()); tracing::scope(); }";
-        let v = check_file("crates/brokerset/src/x.rs", src);
-        assert!(v.iter().all(|v| v.rule != Rule::NoAdhocThreads));
-    }
-
-    #[test]
     fn r15_confines_toposort_machinery_to_the_planner() {
         // Spelled-out toposort machinery in product library code fires —
         // including substring hits inside longer identifiers.
@@ -1492,5 +937,9 @@ pub fn count(threads: usize) -> u64 {
         }
         assert_eq!(Rule::from_id("R99"), None);
         assert_eq!(Rule::from_id("R0"), None);
+        // The toolchain enforces these ids; xtask has no rule for them.
+        for id in ["R1", "R2", "R3", "R4", "R6", "R7", "R8", "R13", "R14"] {
+            assert_eq!(Rule::from_id(id), None, "{id}");
+        }
     }
 }

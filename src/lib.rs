@@ -39,7 +39,16 @@
 //! let _maybe_path = broker_net::routing::stitch_path(g, plan.selection.brokers(), u, v);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "R1: library code returns typed errors"
+)]
+#![deny(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "R4: output belongs to the bin and bench layer"
+)]
 #![warn(missing_docs)]
 
 pub use brokerset;

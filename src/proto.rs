@@ -19,6 +19,10 @@
 //! the wire goes through the codec below. Connection fan-out (threads)
 //! stays in the binaries — large batches inside a connection fan out on
 //! [`netgraph::par`].
+#![expect(
+    clippy::disallowed_types,
+    reason = "R14: the framed protocol is the one owner of raw sockets"
+)]
 
 use brokerset::{ReachIndex, StitchAnswer};
 use netgraph::NodeId;

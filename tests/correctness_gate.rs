@@ -63,9 +63,13 @@ fn policy_paths_certify_at_scale() {
     assert!(certified > 0, "no valley-free pairs sampled at all");
 }
 
-/// The economics layer's efficiency identity holds for a coverage-derived
-/// coalition game, and the lint gate's own report self-audits.
+/// The economics layer's Shapley efficiency identity holds on a
+/// four-player coalition game.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R7: the test game is defined by coalition size, |S| = popcount"
+)]
 fn side_layers_self_audit() {
     let game = economics::coalition::TableGame::new(
         (0u32..16).map(|m| (m.count_ones() as f64).sqrt()).collect(),

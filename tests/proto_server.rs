@@ -35,6 +35,10 @@ fn spawn_server(index: Arc<ReachIndex>) -> (u16, std::thread::JoinHandle<()>) {
 }
 
 /// [`spawn_server`] whose batches fan out on `threads` workers.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R13: the server runs on its own thread, as each brokerd connection does"
+)]
 fn spawn_threaded_server(
     index: Arc<ReachIndex>,
     threads: usize,
@@ -239,6 +243,10 @@ fn large_batch_on_a_threaded_server_matches_single_queries() {
 /// side), and a bounded retry budget against a dead port must report
 /// the refusal instead of hanging.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R13: the server runs on its own thread, as each brokerd connection does"
+)]
 fn handshake_bridges_a_late_listener_and_bounded_retry_reports_refusal() {
     // Reserve an ephemeral port, then release it so the server can bind
     // it *after* the client has already started retrying.
