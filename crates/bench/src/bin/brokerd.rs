@@ -40,19 +40,32 @@ use std::time::Instant;
 const MAX_L: usize = 6;
 
 fn main() {
-    let (rc, _) = RunConfig::from_args_extended(ArgExtras::default(), "");
+    let (rc, extras) = RunConfig::from_args_extended(
+        ArgExtras {
+            value_flags: &["--port", "--index"],
+            max_positionals: 0,
+        },
+        " [--port N] [--index PATH]",
+    );
+    let port = match extras.flag("--port") {
+        None => 0,
+        Some(value) => value.parse().unwrap_or_else(|_| {
+            eprintln!("error: --port expects a port number (0-65535), got '{value}'");
+            std::process::exit(2);
+        }),
+    };
 
     // Bind BEFORE building the index so the port announcement is
     // immediate and scripts never wait out the build behind a sleep
     // loop. Clients that connect early queue in the TCP backlog; their
     // blocking HELLO read IS the readiness signal — it returns exactly
     // when the accept loop (below, after the build) starts serving.
-    let listener = proto::Listener::bind(rc.port.unwrap_or(0)).expect("bind listener");
+    let listener = proto::Listener::bind(port).expect("bind listener");
     let port = listener.port().expect("bound port");
     println!("brokerd: listening on 127.0.0.1:{port}");
 
     let t0 = Instant::now();
-    let index = match &rc.index {
+    let index = match extras.flag("--index").map(std::path::Path::new) {
         Some(path) => match ReachIndex::load(path) {
             Ok(idx) => {
                 println!("brokerd: loaded index from {}", path.display());

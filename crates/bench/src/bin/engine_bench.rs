@@ -8,9 +8,9 @@
 //! place, so the file accumulates the whole sweep:
 //!
 //! ```sh
-//! cargo run --release -p bench --bin engine_bench -- --scale tiny
-//! cargo run --release -p bench --bin engine_bench -- --scale quarter
-//! cargo run --release -p bench --bin engine_bench -- --scale full
+//! cargo run --release -p bench --bin engine_bench -- tiny
+//! cargo run --release -p bench --bin engine_bench -- quarter
+//! cargo run --release -p bench --bin engine_bench -- full
 //! ```
 //!
 //! ## Methodology
@@ -58,11 +58,10 @@
 //! committed `BENCH_engine.json` entry, so a change to the engine or its
 //! always-on counters that perturbs a result fails there.
 //!
-//! Usage: `engine_bench [tiny|quarter|full] [seed] [--scale S]
-//! [--threads N] [--obs PATH] [--record DIR]` (`--scale` overrides the
-//! positional scale).
+//! Usage: `engine_bench [tiny|quarter|full] [seed] [--threads N]
+//! [--obs PATH] [--record DIR]`.
 
-use bench::{header, ArgExtras, RunConfig};
+use bench::{header, RunConfig};
 use brokerset::{max_subgraph_greedy, SourceMode};
 use netgraph::{
     fnv1a_words, par, with_arena, DominatedView, FullView, Graph, NodeId, NodeSet, TraversalArena,
@@ -121,25 +120,7 @@ fn per_source_curve(
 }
 
 fn main() {
-    let (rc, extras) = RunConfig::from_args_extended(
-        ArgExtras {
-            value_flags: &["--scale"],
-            max_positionals: 0,
-        },
-        " [--scale tiny|quarter|full]",
-    );
-    let mut rc = rc;
-    if let Some(s) = extras.flag("--scale") {
-        rc.scale = match s {
-            "tiny" => topology::Scale::Tiny,
-            "quarter" => topology::Scale::Quarter,
-            "full" => topology::Scale::Full,
-            other => {
-                eprintln!("error: unknown --scale '{other}' (expected tiny|quarter|full)");
-                std::process::exit(2);
-            }
-        };
-    }
+    let rc = RunConfig::from_args();
     let wall_start = Instant::now();
     let t0 = Instant::now();
     let net = rc.internet();
@@ -216,14 +197,10 @@ fn main() {
 
     // Bit-identity across thread counts 1/2/4/7 (and the requested
     // count), pinned on the exact shipping curve.
-    let exact_base = brokerset::lhop_curve_parallel(g, sel.brokers(), MAX_L, SourceMode::Exact, 1);
-    for t in [2usize, 4, 7, rc.threads] {
-        let got = brokerset::lhop_curve_parallel(g, sel.brokers(), MAX_L, SourceMode::Exact, t);
-        assert_eq!(
-            exact_base.fractions, got.fractions,
-            "l-hop curve is thread-count dependent (threads = {t})"
-        );
-    }
+    let exact_base =
+        par::assert_thread_invariant(par::SWEEP.into_iter().chain([rc.threads]), |t| {
+            brokerset::lhop_curve_parallel(g, sel.brokers(), MAX_L, SourceMode::Exact, t)
+        });
 
     let curve_checksum = fnv1a_words(
         exact_base

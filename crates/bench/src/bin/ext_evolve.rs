@@ -185,12 +185,11 @@ fn main() {
     // parallel (adaptive chunking) at 1/2/4/7 workers and fingerprint
     // the full maintenance history; all four checksums must agree.
     let epoch_ids: Vec<usize> = (0..graphs.len()).collect();
-    let mut checksums = Vec::new();
-    for &t in &[1usize, 2, 4, 7] {
+    let maintenance_checksum = par::assert_thread_invariant(par::SWEEP, |t| {
         let covs: Vec<u64> = par::map_auto(&epoch_ids, t, |&e| {
             coverage_of(&graphs[e], &broker_history[e]) as u64
         });
-        let checksum = fnv1a_words(
+        fnv1a_words(
             covs.iter()
                 .copied()
                 .chain(
@@ -199,14 +198,8 @@ fn main() {
                         .flat_map(|bs| bs.iter().map(|v| u64::from(v.0))),
                 )
                 .chain(ledger.reports().iter().map(|r| r.swaps() as u64)),
-        );
-        checksums.push(checksum);
-    }
-    assert!(
-        checksums.windows(2).all(|w| w[0] == w[1]),
-        "maintenance checksum is thread-count dependent: {checksums:x?}"
-    );
-    let maintenance_checksum = checksums[0];
+        )
+    });
     println!("maintenance_checksum: {maintenance_checksum:016x} (threads 1/2/4/7)");
 
     // Compose churn with faults in one timeline: two maintained brokers

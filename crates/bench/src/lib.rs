@@ -28,12 +28,6 @@ pub struct RunConfig {
     /// Directory to save this run's [`ExperimentRecord`] under
     /// (`--record DIR`) for the golden-snapshot tests.
     pub record: Option<std::path::PathBuf>,
-    /// TCP port for the serving binaries (`--port N`; `0` = pick an
-    /// ephemeral port). `None` when the flag was not given.
-    pub port: Option<u16>,
-    /// Path to a serialized `BRI1` reachability index (`--index PATH`):
-    /// the serving binaries load it instead of building one.
-    pub index: Option<std::path::PathBuf>,
 }
 
 impl RunConfig {
@@ -58,7 +52,7 @@ impl RunConfig {
                 eprintln!("error: {msg}");
                 eprintln!(
                     "usage: <bin> [tiny|quarter|full] [seed] [--threads N] \
-                     [--obs PATH] [--record DIR] [--port N] [--index PATH]{usage_extra}"
+                     [--obs PATH] [--record DIR]{usage_extra}"
                 );
                 std::process::exit(2);
             }
@@ -94,8 +88,6 @@ impl RunConfig {
             threads: 0,
             obs: None,
             record: None,
-            port: None,
-            index: None,
         };
         let mut parsed = ParsedExtras {
             flags: Vec::new(),
@@ -115,14 +107,6 @@ impl RunConfig {
             } else if arg == "--record" {
                 let value = iter.next().ok_or("--record expects a directory")?;
                 rc.record = Some(std::path::PathBuf::from(value));
-            } else if arg == "--port" {
-                let value = iter.next().ok_or("--port expects a port number")?;
-                rc.port = Some(value.parse().map_err(|_| {
-                    format!("--port expects a port number (0-65535), got '{value}'")
-                })?);
-            } else if arg == "--index" {
-                let value = iter.next().ok_or("--index expects a file path")?;
-                rc.index = Some(std::path::PathBuf::from(value));
             } else if extras.value_flags.contains(&arg.as_str()) {
                 let value = iter.next().ok_or(format!("{arg} expects a value"))?;
                 parsed.flags.push((arg, value));
@@ -338,8 +322,6 @@ mod tests {
             threads: 0,
             obs: None,
             record: None,
-            port: None,
-            index: None,
         };
         let b = rc.budgets(52_079);
         assert_eq!(b, [99, 990, 3541]);
@@ -377,25 +359,6 @@ mod tests {
         assert!(rc.obs.is_none() && rc.record.is_none());
         assert!(parse(&["--obs"]).unwrap_err().contains("expects"));
         assert!(parse(&["--record"]).unwrap_err().contains("expects"));
-    }
-
-    #[test]
-    fn parse_port_and_index_flags() {
-        let rc = parse(&["tiny", "7", "--port", "0", "--index", "idx.bri"])
-            .expect("--port/--index parse");
-        assert_eq!(rc.port, Some(0));
-        assert_eq!(rc.index.as_deref(), Some(std::path::Path::new("idx.bri")));
-        let rc = parse(&["--port", "7700"]).expect("--port alone parses");
-        assert_eq!(rc.port, Some(7700));
-        let rc = parse(&[]).expect("empty argv uses defaults");
-        assert!(rc.port.is_none() && rc.index.is_none());
-
-        // Malformed values are parse errors (exit 2 through from_args).
-        assert!(parse(&["--port"]).unwrap_err().contains("expects"));
-        assert!(parse(&["--port", "http"]).unwrap_err().contains("http"));
-        assert!(parse(&["--port", "70000"]).unwrap_err().contains("70000"));
-        assert!(parse(&["--port", "-1"]).unwrap_err().contains("-1"));
-        assert!(parse(&["--index"]).unwrap_err().contains("expects"));
     }
 
     #[test]
@@ -445,8 +408,6 @@ mod tests {
                 threads: 0,
                 obs: None,
                 record: None,
-                port: None,
-                index: None,
             }
             .source_mode()
         };
@@ -469,8 +430,6 @@ mod tests {
             threads: 0,
             obs: None,
             record: None,
-            port: None,
-            index: None,
         };
         let rec = ExperimentRecord::new(
             "table1",

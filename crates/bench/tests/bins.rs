@@ -112,6 +112,28 @@ fn calibrate_runs() {
     assert!(text.contains("greedy MCB"), "{text}");
 }
 
+/// `--port` and `--index` are brokerd's own flags: any other bin rejects
+/// them as unknown, and brokerd rejects a port it cannot bind. Each case
+/// exits 2 during argument parsing, before any topology is generated.
+#[test]
+fn serving_flags_are_brokerd_only() {
+    let rejects = |bin: &str, args: &[&str], needle: &str| {
+        let out = Command::new(bin).args(args).output().expect("spawn bin");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{bin} {args:?}: {stderr}");
+    };
+    let table1 = env!("CARGO_BIN_EXE_table1");
+    let engine_bench = env!("CARGO_BIN_EXE_engine_bench");
+    let brokerd = env!("CARGO_BIN_EXE_brokerd");
+    rejects(table1, &["tiny", "7", "--port", "0"], "'--port'");
+    rejects(engine_bench, &["--index", "i.bri"], "'--index'");
+    rejects(engine_bench, &["--scale", "tiny"], "'--scale'");
+    rejects(brokerd, &["tiny", "7", "--port", "http"], "'http'");
+    rejects(brokerd, &["--port", "70000"], "'70000'");
+    rejects(brokerd, &["--port", "-1"], "'-1'");
+}
+
 // ---------------------------------------------------------------------
 // Golden-snapshot tests
 // ---------------------------------------------------------------------

@@ -557,9 +557,9 @@ mod tests {
         let sched = mixed_schedule(&g, &sel);
         let mode = SourceMode::Sampled { count: 80, seed: 3 };
         let seq = chaos_trace(&g, &sel, &sched, Some(5), mode);
-        for threads in [2usize, 4, 7] {
-            let par = chaos_trace_threaded(&g, &sel, &sched, Some(5), mode, threads);
-            assert_eq!(seq, par, "threads={threads}");
-        }
+        let threaded = par::assert_thread_invariant(par::SWEEP, |threads| {
+            chaos_trace_threaded(&g, &sel, &sched, Some(5), mode, threads)
+        });
+        assert_eq!(seq, threaded);
     }
 }

@@ -7,10 +7,9 @@ use brokerset::{
     chaos_trace, chaos_trace_threaded, lhop_curve, lhop_curve_parallel, max_subgraph_greedy,
     FailureOrder, ReachIndex, SourceMode,
 };
+use netgraph::par::{assert_thread_invariant, SWEEP};
 use netgraph::{FaultGroup, FaultSchedule, NodeId};
 use topology::{InternetConfig, Scale};
-
-const THREADS: [usize; 4] = [1, 2, 4, 7];
 
 #[test]
 fn lhop_curve_exact_bit_identical() {
@@ -18,10 +17,13 @@ fn lhop_curve_exact_bit_identical() {
     let g = net.graph();
     let sel = max_subgraph_greedy(g, 60);
     let seq = lhop_curve(g, sel.brokers(), 6, SourceMode::Exact);
-    for t in THREADS {
-        let par = lhop_curve_parallel(g, sel.brokers(), 6, SourceMode::Exact, t);
-        assert_eq!(seq, par, "exact l-hop curve diverged at threads={t}");
-    }
+    let par = assert_thread_invariant(SWEEP, |t| {
+        lhop_curve_parallel(g, sel.brokers(), 6, SourceMode::Exact, t)
+    });
+    assert_eq!(
+        seq, par,
+        "exact l-hop curve diverged from the sequential one"
+    );
 }
 
 #[test]
@@ -35,12 +37,13 @@ fn lhop_curve_sampled_bit_identical() {
     };
     let seq = lhop_curve(g, sel.brokers(), 6, mode);
     assert!(seq.std_error.is_some_and(|se| se > 0.0));
-    for t in THREADS {
-        let par = lhop_curve_parallel(g, sel.brokers(), 6, mode, t);
-        // PartialEq on the curve covers fractions AND the Option<f64>
-        // standard error bit for bit.
-        assert_eq!(seq, par, "sampled l-hop curve diverged at threads={t}");
-    }
+    // PartialEq on the curve covers fractions AND the Option<f64>
+    // standard error bit for bit.
+    let par = assert_thread_invariant(SWEEP, |t| lhop_curve_parallel(g, sel.brokers(), 6, mode, t));
+    assert_eq!(
+        seq, par,
+        "sampled l-hop curve diverged from the sequential one"
+    );
 }
 
 #[test]
@@ -54,10 +57,10 @@ fn failure_trace_bit_identical() {
     ] {
         let schedule = order.schedule(&sel, 8);
         let seq = chaos_trace(g, &sel, &schedule, None, SourceMode::Exact);
-        for t in THREADS {
-            let par = chaos_trace_threaded(g, &sel, &schedule, None, SourceMode::Exact, t);
-            assert_eq!(seq, par, "failure trace diverged at threads={t}");
-        }
+        let par = assert_thread_invariant(SWEEP, |t| {
+            chaos_trace_threaded(g, &sel, &schedule, None, SourceMode::Exact, t)
+        });
+        assert_eq!(seq, par, "failure trace diverged from the sequential one");
     }
 }
 
@@ -92,12 +95,12 @@ fn chaos_trace_bit_identical_across_threads() {
     let schedule = chaos_schedule(sel.order(), g.node_count());
     let seq = chaos_trace(g, &sel, &schedule, Some(6), SourceMode::Exact);
     assert_eq!(seq.steps.len(), 8);
-    for t in THREADS {
-        let par = chaos_trace_threaded(g, &sel, &schedule, Some(6), SourceMode::Exact, t);
-        // ChaosTrace PartialEq covers every epoch's saturated fraction,
-        // lhop fraction and degradation record bit for bit.
-        assert_eq!(seq, par, "chaos trace diverged at threads={t}");
-    }
+    // ChaosTrace PartialEq covers every epoch's saturated fraction,
+    // lhop fraction and degradation record bit for bit.
+    let par = assert_thread_invariant(SWEEP, |t| {
+        chaos_trace_threaded(g, &sel, &schedule, Some(6), SourceMode::Exact, t)
+    });
+    assert_eq!(seq, par, "chaos trace diverged from the sequential one");
 }
 
 #[test]
@@ -123,16 +126,9 @@ fn reach_index_build_bit_identical_across_threads() {
     let net = InternetConfig::scaled(Scale::Tiny).generate(42);
     let g = net.graph();
     let sel = max_subgraph_greedy(g, 60);
-    let base = ReachIndex::build(g, sel.brokers(), 6, 1);
-    let base_bytes = base.to_bytes();
-    for t in THREADS {
-        let idx = ReachIndex::build(g, sel.brokers(), 6, t);
-        assert_eq!(
-            idx.to_bytes(),
-            base_bytes,
-            "index bytes diverged at threads={t}"
-        );
-    }
+    assert_thread_invariant(SWEEP, |t| {
+        ReachIndex::build(g, sel.brokers(), 6, t).to_bytes()
+    });
 }
 
 #[test]
@@ -169,8 +165,8 @@ fn reach_index_serialization_round_trips_byte_identically() {
 #[test]
 fn reach_index_invalidation_bit_identical_across_threads() {
     // Replaying the same fault schedule through apply_state must leave
-    // byte-identical indexes at every thread count — the shard triage
-    // and the rebuild fan-out are both deterministic.
+    // byte-identical indexes at every thread count — the rebuild fan-out
+    // is deterministic.
     let net = InternetConfig::scaled(Scale::Tiny).generate(42);
     let g = net.graph();
     let sel = max_subgraph_greedy(g, 60);
@@ -182,14 +178,7 @@ fn reach_index_invalidation_bit_identical_across_threads() {
         }
         idx.to_bytes()
     };
-    let base = replay(1);
-    for t in THREADS[1..].iter().copied() {
-        assert_eq!(
-            replay(t),
-            base,
-            "invalidation replay diverged at threads={t}"
-        );
-    }
+    assert_thread_invariant(SWEEP, replay);
 }
 
 #[test]

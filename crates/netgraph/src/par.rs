@@ -230,6 +230,32 @@ pub fn sum_f64(xs: &[f64]) -> f64 {
     xs.iter().fold(0.0f64, |acc, &x| acc + x)
 }
 
+/// The worker counts the determinism checks compare with the sequential
+/// run through [`assert_thread_invariant`]: even splits at 2 and 4, and
+/// an odd 7 that rarely divides the chunk count.
+pub const SWEEP: [usize; 3] = [2, 4, 7];
+
+/// Run `f` at one thread, then at each count in `threads` (`0` = auto),
+/// and return the one-thread result after asserting that every other
+/// result equals it. This is the one form of the "identical at every
+/// thread count" check the determinism suites and the bench bins share.
+///
+/// # Panics
+///
+/// If a result differs from the one-thread result; the message names the
+/// thread count.
+pub fn assert_thread_invariant<R, F>(threads: impl IntoIterator<Item = usize>, mut f: F) -> R
+where
+    R: PartialEq + std::fmt::Debug,
+    F: FnMut(usize) -> R,
+{
+    let base = f(1);
+    for t in threads {
+        assert_eq!(f(t), base, "threads = {t} diverged from threads = 1");
+    }
+    base
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,11 +287,9 @@ mod tests {
         // output flattened in order is chunk-invariant, so results stay
         // bit-identical.
         let items: Vec<f64> = (0..9000).map(|i| 1.0 / (i as f64 + 0.7)).collect();
-        let base: Vec<u64> = map_auto(&items, 1, |&x| (x * 3.0).to_bits());
-        for threads in [0, 2, 4, 7] {
-            let got: Vec<u64> = map_auto(&items, threads, |&x| (x * 3.0).to_bits());
-            assert_eq!(got, base, "threads = {threads}");
-        }
+        let base = assert_thread_invariant(SWEEP.into_iter().chain([0]), |threads| {
+            map_auto(&items, threads, |&x| (x * 3.0).to_bits())
+        });
         assert_eq!(base.len(), items.len());
     }
 
@@ -273,21 +297,21 @@ mod tests {
     fn map_auto_preserves_order_for_all_thread_counts() {
         let items: Vec<u64> = (0..1000).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for threads in [0, 1, 2, 4, 7] {
-            let got = map_auto(&items, threads, |&x| x * x);
-            assert_eq!(got, expect, "threads = {threads}");
-        }
+        let got = assert_thread_invariant(SWEEP.into_iter().chain([0]), |threads| {
+            map_auto(&items, threads, |&x| x * x)
+        });
+        assert_eq!(got, expect);
     }
 
     #[test]
     fn chunk_results_arrive_in_chunk_order() {
         let items: Vec<usize> = (0..100).collect();
-        for threads in [1, 2, 4, 7] {
-            let sums = map_chunks(&items, 9, threads, |c| c.iter().sum::<usize>());
-            assert_eq!(sums.len(), 100usize.div_ceil(9));
-            assert_eq!(sums[0], (0..9).sum::<usize>());
-            assert_eq!(sums.iter().sum::<usize>(), (0..100).sum::<usize>());
-        }
+        let sums = assert_thread_invariant(SWEEP, |threads| {
+            map_chunks(&items, 9, threads, |c| c.iter().sum::<usize>())
+        });
+        assert_eq!(sums.len(), 100usize.div_ceil(9));
+        assert_eq!(sums[0], (0..9).sum::<usize>());
+        assert_eq!(sums.iter().sum::<usize>(), (0..100).sum::<usize>());
     }
 
     #[test]
@@ -300,10 +324,7 @@ mod tests {
                 .into_iter()
                 .sum()
         };
-        let base = reduce(1);
-        for threads in [2, 4, 7] {
-            assert_eq!(base.to_bits(), reduce(threads).to_bits());
-        }
+        assert_thread_invariant(SWEEP, |threads| reduce(threads).to_bits());
     }
 
     #[test]
@@ -312,12 +333,13 @@ mod tests {
         let expect = map_chunks(&items, DEFAULT_CHUNK, 1, sum_f64)
             .into_iter()
             .fold(0.0f64, |a, x| a + x);
-        for threads in [1, 2, 4, 7] {
-            let got = map_reduce(&items, DEFAULT_CHUNK, threads, sum_f64, 0.0f64, |a, x| {
+        let got = assert_thread_invariant(SWEEP, |threads| {
+            map_reduce(&items, DEFAULT_CHUNK, threads, sum_f64, 0.0f64, |a, x| {
                 a + x
-            });
-            assert_eq!(got.to_bits(), expect.to_bits(), "threads = {threads}");
-        }
+            })
+            .to_bits()
+        });
+        assert_eq!(got, expect.to_bits());
     }
 
     #[test]
@@ -344,6 +366,15 @@ mod tests {
             },
         );
         assert_eq!(hist, [50, 50, 50, 50]);
+    }
+
+    #[test]
+    fn thread_invariance_check_names_the_diverging_count() {
+        assert_eq!(assert_thread_invariant(SWEEP, |_| 5u8), 5);
+        let payload = std::panic::catch_unwind(|| assert_thread_invariant(SWEEP, |t| t >= 4))
+            .expect_err("a result that moves with the thread count must fail");
+        let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("threads = 4 diverged"), "{message}");
     }
 
     #[test]
@@ -377,10 +408,10 @@ mod tests {
                 .count()
         };
         assert_eq!(sources.map(|s| dominated_degree(&s)), [1, 2, 1, 1, 1]);
-        for threads in [1, 2, 4] {
-            let got = map_auto(&sources, threads, dominated_degree);
-            assert_eq!(got, [1, 2, 1, 1, 1], "threads = {threads}");
-        }
+        let got = assert_thread_invariant(SWEEP, |threads| {
+            map_auto(&sources, threads, dominated_degree)
+        });
+        assert_eq!(got, [1, 2, 1, 1, 1]);
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! The guarantee comes from fixed-size chunking plus chunk-ordered
 //! merges in [`netgraph::par`]; these tests pin it end to end.
 
+use netgraph::par;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-const THREADS: [usize; 4] = [1, 2, 4, 7];
 
 fn graph() -> netgraph::Graph {
     let mut rng = ChaCha8Rng::seed_from_u64(2014);
@@ -20,7 +19,7 @@ fn graph() -> netgraph::Graph {
 /// batch per chunk — returning merged per-level pair counts.
 /// Integer-valued, so any scheduling divergence is exact.
 fn msbfs_level_pairs(g: &netgraph::Graph, threads: usize) -> Vec<u64> {
-    use netgraph::{msbfs, par, with_msbfs, FullView};
+    use netgraph::{msbfs, with_msbfs, FullView};
 
     let sources: Vec<netgraph::NodeId> = g.nodes().collect();
     let per_chunk = par::map_chunks(&sources, msbfs::LANES, threads, |batch| {
@@ -54,15 +53,8 @@ fn msbfs_batch_fanout_bit_identical() {
     // way the library consumers do and require the merged per-level pair
     // counts to be bit-identical at every thread count.
     let g = graph();
-    let want = msbfs_level_pairs(&g, 1);
+    let want = par::assert_thread_invariant(par::SWEEP, |t| msbfs_level_pairs(&g, t));
     assert!(want.iter().sum::<u64>() > 0, "traversal reached something");
-    for t in THREADS {
-        assert_eq!(
-            msbfs_level_pairs(&g, t),
-            want,
-            "msbfs fan-out diverged at threads={t}"
-        );
-    }
 }
 
 #[test]

@@ -1,10 +1,19 @@
 //! CLI entry point: `cargo run -p xtask -- lint [--root <dir>]`.
 
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
 use xtask::rules::Rule;
 use xtask::{find_workspace_root, lint_workspace};
+
+/// `println!` that ends quietly on a closed stdout (`xtask lint | head`)
+/// instead of panicking with "failed printing to stdout".
+macro_rules! say {
+    ($($t:tt)*) => {{
+        let _ = writeln!(std::io::stdout(), $($t)*);
+    }};
+}
 
 const USAGE: &str = "\
 usage: cargo run -p xtask -- <command>
@@ -33,7 +42,7 @@ fn main() -> ExitCode {
 fn run_explain(rule: &str) -> ExitCode {
     match Rule::from_id(rule) {
         Some(rule) => {
-            println!("{}", rule.explain());
+            say!("{}", rule.explain());
             ExitCode::SUCCESS
         }
         None => {
@@ -72,10 +81,10 @@ fn run_lint(root: Option<std::path::PathBuf>) -> ExitCode {
         }
     };
     for v in &report.violations {
-        println!("{v}");
-        println!("  {}", v.rule.describe());
+        say!("{v}");
+        say!("  {}", v.rule.describe());
     }
-    println!(
+    say!(
         "xtask lint: {} file(s), {} violation(s)",
         report.files_scanned,
         report.violations.len()

@@ -8,7 +8,8 @@
 //!    nonzero;
 //! 4. a seeded violation of each rule enforced by lint configuration (R1,
 //!    R3, R4, R6-R8, R13, R14) makes `cargo clippy` fail and names its
-//!    rule.
+//!    rule;
+//! 5. the binary exits quietly when its reader closes stdout early.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -389,4 +390,21 @@ fn clean_tree_passes_the_binary() {
     assert_eq!(out.status.code(), Some(2), "unknown flag accepted");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that stops early (`xtask lint --explain R9 | head -1`) closes
+/// the pipe under xtask's output, and xtask ends quietly instead of
+/// panicking on the failed write.
+#[test]
+fn closed_stdout_ends_quietly() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
+        .args(["lint", "--explain", "R9"])
+        .stdout(writer)
+        .output()
+        .expect("run xtask binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
