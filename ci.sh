@@ -130,6 +130,25 @@ if [ -z "$expected" ] || [ "$checksum" != "$expected" ]; then
 fi
 echo "==> quarter-scale perf smoke passed (checksum $checksum)"
 
+# Index bytes gate: the quarter-scale BRI1 blob (247 brokers, so the
+# query scan crosses several 32-position chunks, where tiny's 21 do not
+# fill one) must hash to the committed BENCH_serve.json quarter
+# index_digest. serve_bench also checks a prefix of its answers against
+# the exact oracle. It runs in a scratch directory so the tracked
+# BENCH_serve.json is not rewritten.
+expected=$(sed -n '/^      "scale": "quarter"/,/^      "scale": /s/^        "index_digest": "\([0-9a-f]\{16\}\)".*/\1/p' BENCH_serve.json)
+serve_dir="$(mktemp -d)"
+echo "==> serve_bench quarter 2014 --queries 10000 (in $serve_dir)" >&2
+serve_bench="$PWD/target/release/serve_bench"
+(cd "$serve_dir" && "$serve_bench" quarter 2014 --queries 10000 >/dev/null)
+digest=$(sed -n 's/^        "index_digest": "\([0-9a-f]\{16\}\)".*/\1/p' "$serve_dir/BENCH_serve.json")
+rm -rf "$serve_dir"
+if [ -z "$expected" ] || [ "$digest" != "$expected" ]; then
+    echo "==> quarter-scale index digest $digest, committed BENCH_serve.json says $expected" >&2
+    exit 1
+fi
+echo "==> quarter-scale index bytes pinned (digest $digest)"
+
 # Benchmark gate: the reference benchmark's own tests (perfbench/, its
 # own cargo package). brokerd is built into the same target directory,
 # where the tests look for it. They rebuild the pinned seed-2014

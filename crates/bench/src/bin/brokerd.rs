@@ -60,7 +60,10 @@ fn main() {
     // loop. Clients that connect early queue in the TCP backlog; their
     // blocking HELLO read IS the readiness signal — it returns exactly
     // when the accept loop (below, after the build) starts serving.
-    let listener = proto::Listener::bind(port).expect("bind listener");
+    let listener = proto::Listener::bind(port).unwrap_or_else(|e| {
+        eprintln!("error: cannot listen on port {port}: {e}");
+        std::process::exit(2);
+    });
     let port = listener.port().expect("bound port");
     println!("brokerd: listening on 127.0.0.1:{port}");
 

@@ -62,10 +62,11 @@ const BATCH: usize = 512;
 /// Default total queries across all sweeps (the acceptance floor).
 const DEFAULT_QUERIES: usize = 1_000_000;
 /// Floor on the scan: at quarter scale (247 brokers)
-/// `scan_ns_per_query` must not exceed it, on every host. The scan reads
-/// ~90–120 ns there on a 2-vCPU Xeon and a scalar per-column loop
-/// ~0.8 µs, so this leaves headroom for slower hosts and still catches a
-/// scalar scan.
+/// `scan_ns_per_query` must not exceed it, on every host. The query
+/// (broker-pair lookups, then a 32-position chunked scan on a hit) reads
+/// ~70–135 ns there on a 2-vCPU Xeon, so this leaves headroom for slower
+/// hosts. A scalar per-position hit scan read 215–360 ns on the same
+/// host, so the floor catches it only on a slow run.
 const SCAN_FLOOR_NS: f64 = 250.0;
 
 /// The deterministic synthetic workload: uniform (s, t) pairs with a

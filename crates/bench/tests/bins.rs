@@ -113,8 +113,9 @@ fn calibrate_runs() {
 }
 
 /// `--port` and `--index` are brokerd's own flags: any other bin rejects
-/// them as unknown, and brokerd rejects a port it cannot bind. Each case
-/// exits 2 during argument parsing, before any topology is generated.
+/// them as unknown, and brokerd rejects a port it cannot parse or bind.
+/// Each case is an error line and exit 2, never a panic, before any
+/// topology is generated.
 #[test]
 fn serving_flags_are_brokerd_only() {
     let rejects = |bin: &str, args: &[&str], needle: &str| {
@@ -122,6 +123,7 @@ fn serving_flags_are_brokerd_only() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
         assert!(stderr.contains(needle), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
     };
     let table1 = env!("CARGO_BIN_EXE_table1");
     let engine_bench = env!("CARGO_BIN_EXE_engine_bench");
@@ -132,6 +134,13 @@ fn serving_flags_are_brokerd_only() {
     rejects(brokerd, &["tiny", "7", "--port", "http"], "'http'");
     rejects(brokerd, &["--port", "70000"], "'70000'");
     rejects(brokerd, &["--port", "-1"], "'-1'");
+    let held = broker_net::proto::Listener::bind(0).expect("hold a port");
+    let port = held.port().expect("held port").to_string();
+    rejects(
+        brokerd,
+        &["tiny", "7", "--port", &port],
+        &format!("error: cannot listen on port {port}: "),
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -471,16 +480,11 @@ fn serve_bench_golden_rejects_perturbed_hit_rate() {
     assert!(panicked, "a 1e-6 perturbation must fail the serve golden");
 }
 
-#[test]
-fn brokerd_scripted_session_matches_golden() {
-    // Drive a fixed request script against a real brokerd process and
-    // pin the Debug rendering of every reply. The transcript is fully
-    // deterministic (tiny scale, fixed seed, scripted order), so it
-    // doubles as a wire-compatibility golden: any change to opcodes,
-    // field layouts or reply semantics shows up as a diff here.
+/// Drive the fixed request script against the brokerd on `port`, then
+/// shut it down, and render every reply's Debug form, one per line.
+fn brokerd_session(port: u16) -> String {
     use broker_net::proto::{Conn, Request};
 
-    let (mut child, port, drain) = spawn_brokerd();
     let mut conn = Conn::connect(port).expect("connect to brokerd");
     let mut transcript = String::new();
     let script: &[(&str, Request)] = &[
@@ -514,36 +518,94 @@ fn brokerd_scripted_session_matches_golden() {
     transcript.push_str(&format!("bad-opcode: {reply:?}\n"));
     let bye = conn.request(&Request::Shutdown).expect("shutdown");
     transcript.push_str(&format!("shutdown: {bye:?}\n"));
-    drop(conn);
+    transcript
+}
+
+/// Run the scripted session against a brokerd started with `args` and
+/// wait for it to exit cleanly.
+fn brokerd_transcript(args: &[&str]) -> String {
+    let (mut child, port, drain) = spawn_brokerd(args);
+    let transcript = brokerd_session(port);
     let status = child.wait().expect("brokerd exit status");
     assert!(status.success(), "brokerd exited with {status}");
     drain.join().expect("drain thread");
+    transcript
+}
 
+fn brokerd_golden() -> String {
     let golden_path = goldens_dir().join("brokerd_session.txt");
+    std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); regenerate with UPDATE_GOLDENS=1",
+            golden_path.display()
+        )
+    })
+}
+
+#[test]
+fn brokerd_scripted_session_matches_golden() {
+    // Drive a fixed request script against a real brokerd process and
+    // pin the Debug rendering of every reply. The transcript is fully
+    // deterministic (tiny scale, fixed seed, scripted order), so it
+    // doubles as a wire-compatibility golden: any change to opcodes,
+    // field layouts or reply semantics shows up as a diff here.
+    let transcript = brokerd_transcript(&["tiny", "7", "--port", "0"]);
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
+        let golden_path = goldens_dir().join("brokerd_session.txt");
         std::fs::create_dir_all(goldens_dir()).expect("create goldens dir");
         std::fs::write(&golden_path, &transcript).expect("write golden");
         eprintln!("updated {}", golden_path.display());
         return;
     }
-    let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with UPDATE_GOLDENS=1",
-            golden_path.display()
-        )
-    });
     assert_eq!(
-        transcript, want,
+        transcript,
+        brokerd_golden(),
         "brokerd wire transcript diverged from golden"
     );
 }
 
-/// Start `brokerd tiny 7` on an ephemeral port; returns the child, its
-/// port and the thread that keeps draining its stdout (so brokerd never
-/// blocks on a full pipe).
-fn spawn_brokerd() -> (std::process::Child, u16, std::thread::JoinHandle<()>) {
+/// `brokerd --index PATH` serves a saved BRI1 blob, which it decodes
+/// with `ReachIndex::from_bytes`. A blob built the way brokerd builds
+/// in process (tiny scale, seed 7, the middle budget, MaxSG, max_l 6)
+/// must answer the script exactly as the golden session does, and a
+/// missing blob is an error line and exit 2.
+#[test]
+fn brokerd_serves_a_saved_index_like_its_own_build() {
+    let rc = bench::RunConfig::parse(["tiny", "7"].map(String::from)).expect("tiny run config");
+    let net = rc.internet();
+    let g = net.graph();
+    let sel = brokerset::max_subgraph_greedy(g, rc.budgets(g.node_count())[1]);
+    let index = brokerset::ReachIndex::build(g, sel.brokers(), 6, 1);
+    let dir =
+        std::env::temp_dir().join(format!("bench-brokerd-saved-index-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let blob = dir.join("tiny.bri");
+    index.save(&blob).expect("save the index");
+    let blob_str = blob.to_str().expect("temp path is UTF-8");
+    let transcript = brokerd_transcript(&["--index", blob_str, "--port", "0"]);
+
+    let missing = dir.join("missing.bri");
+    let out = Command::new(env!("CARGO_BIN_EXE_brokerd"))
+        .args(["--index", missing.to_str().expect("UTF-8"), "--port", "0"])
+        .output()
+        .expect("spawn brokerd");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("error: loading index"), "{stderr}");
+    assert_eq!(
+        transcript,
+        brokerd_golden(),
+        "a saved index served differently from brokerd's own build"
+    );
+}
+
+/// Start brokerd with `args` (which pick an ephemeral port); returns the
+/// child, its port and the thread that keeps draining its stdout (so
+/// brokerd never blocks on a full pipe).
+fn spawn_brokerd(args: &[&str]) -> (std::process::Child, u16, std::thread::JoinHandle<()>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_brokerd"))
-        .args(["tiny", "7", "--port", "0"])
+        .args(args)
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("spawn brokerd");
@@ -583,7 +645,7 @@ fn brokerd_releases_closed_connection_threads() {
         conn.request(&Request::Hello).expect("hello");
     };
 
-    let (mut child, port, drain) = spawn_brokerd();
+    let (mut child, port, drain) = spawn_brokerd(&["tiny", "7", "--port", "0"]);
     hello(port);
     let before = vm_size_kib(child.id());
     for _ in 0..256 {

@@ -4,91 +4,102 @@
 //! Every evaluation so far has been a batch job; a brokerage deployment
 //! instead answers point queries: *can `(s, t)` be stitched through the
 //! broker set within `l` hops, and via which broker?* [`ReachIndex`]
-//! precomputes per-broker hop-distance shards so that question costs a
-//! single `O(k)` scan over two table rows (`k` = broker count) instead of
-//! a BFS.
+//! stores the hop distances between the live brokers and, per vertex,
+//! the live brokers next to it, so that question costs a few row lookups
+//! and a short scan instead of a BFS.
 //!
-//! ## Why broker-hub labeling is exact
+//! ## Why the broker rows are enough
 //!
 //! In the dominated edge set `{(u, v) : u ∈ B ∨ v ∈ B}` every edge has a
-//! broker endpoint, so any dominated path of length ≥ 1 visits a broker
-//! no later than its first edge. For any vertices `s ≠ t` the dominated
-//! hop distance therefore satisfies
+//! broker endpoint. Let `S(v)` be the live brokers one uncut dominated
+//! hop from a vertex `v` that is not failed, or just `{v}` when `v` is a
+//! live broker, and let `o(v)` be 0 for a live broker and 1 otherwise.
+//! A dominated path out of any other vertex starts with an edge into
+//! `S(v)`, so for every live broker `b` and all vertices `s ≠ t`
 //!
 //! ```text
+//! d(v, b) = o(v) + min over a ∈ S(v) of d(a, b)
+//! d(s, t) = o(s) + o(t) + min over a ∈ S(s), b ∈ S(t) of d(a, b)
 //! d(s, t) = min over live brokers b of d(s, b) + d(b, t)
 //! ```
 //!
-//! (≤ by concatenation, ≥ because a shortest dominated path contains a
-//! broker `b` with `d(s, b) + d(b, t) = d(s, t)`). Storing, per broker
-//! `b`, the dominated distances `d(b, ·)` capped at `max_l` loses
-//! nothing for queries with `l ≤ max_l`: a witness path of length
-//! `d ≤ max_l` splits as `d(s, b) ≤ 1` plus `d(b, t) ≤ d`, both within
-//! the cap. Queries with `l > max_l` are clamped to `max_l` — the index
-//! is *hop-bounded* by construction.
+//! (the last by concatenation and because a shortest path visits a
+//! broker no later than its first edge). So the `k × k` broker rows
+//! `R[a][j] = d(brokers[a], brokers[j])`, capped at `max_l`, and the
+//! lists `S(v)` fix every distance a query needs. The cap loses nothing
+//! for `l ≤ max_l`: every term of a witness path of length `≤ max_l` is
+//! within it. Queries with `l > max_l` are clamped to `max_l` — the
+//! index is *hop-bounded* by construction.
 //!
-//! ## The scan
+//! ## The query
 //!
-//! The table is vertex-major (`dist[v·k + j]`), so a query reads two
-//! contiguous `k`-byte rows. [`ReachIndex::query`] takes the minimum over
-//! `j` of the saturating `u8` sum `rs[j] + rt[j]` — a branch-free loop
-//! the compiler turns into SSE2 `paddusb` + `pminub` on the default
-//! x86-64 target — then returns the first `j` whose sum equals it.
+//! [`ReachIndex::query`] first takes `best`, the minimum of `R[a][b]`
+//! over the `|S(s)| · |S(t)|` broker pairs. When `o(s) + o(t) + best`
+//! exceeds the cap the query misses, and misses end there. On a hit the
+//! answer is the first roster position `j` with
+//! `d(s, b_j) + d(b_j, t) = d(s, t)`: the smallest broker id among the
+//! cheapest, since the roster is ascending. The scan reads 32 roster
+//! positions at a time: the minimum over the `S(s)` rows and over the
+//! `S(t)` rows, then one branch-free pass asking whether any saturating
+//! `u8` sum equals `best`, then the first such position.
 //!
-//! - *Saturation is exact.* [`UNREACH`] is 255 and every cap is at most
-//!   [`MAX_HOP_CAP`] = 254, so a saturated sum — an unreachable entry, a
-//!   dead (all-`UNREACH`) column or a finite total ≥ 255 — is never
-//!   within the cap, and any sum within the cap is the true total.
-//! - *The tie-break is kept.* The first minimal position is the smallest
-//!   roster position, and the roster is ascending, so it is the smallest
-//!   broker id among the cheapest.
+//! - *Saturation is exact.* [`UNREACH`] is 255, every cap is at most
+//!   [`MAX_HOP_CAP`] = 254 and the rows are padded with [`UNREACH`] to a
+//!   multiple of 32 positions, so a saturated sum never equals `best`.
+//! - *The first equal sum is the first minimal one.* Every sum within
+//!   the cap is a walk from `S(s)` to `S(t)`, so it is at least `best`,
+//!   and the column of the `b` attaining `best` equals it.
 //!
-//! ## Shards, faults and invalidation
+//! ## Faults and invalidation
 //!
-//! The index keys one distance column ("shard") per roster broker,
-//! columns ordered by ascending broker id. Shards are built by 64-lane
+//! The roster is fixed at build time. A broker out of service (defected,
+//! or its vertex failed) keeps its position with a blank row and column,
+//! so the layout never changes. The live rows are built by 64-lane
 //! [`netgraph::msbfs`] batches over the masked dominated view (failed
-//! vertices and cut edges vanish; defected brokers stop dominating but
-//! keep their column, blanked, so the layout never changes), fanned out
-//! on [`netgraph::par`] in waves of 64 × workers columns. Each batch
-//! fills a vertex-major block, and each wave merges into the table in
-//! one row-order pass that overwrites every rebuilt column, so writes
-//! follow the table's layout and at most one wave of blocks is alive.
-//! Blocks merge in batch order — bit-identical at every thread count.
+//! vertices and cut edges vanish; defected brokers stop dominating) on
+//! [`netgraph::par`]. Each batch returns one row per source, and the
+//! batches merge in order, so the rows are bit-identical at every
+//! thread count.
 //!
-//! An epoch flip ([`ReachIndex::apply_state`]) decides per epoch, not
-//! per shard. It diffs the index's fault sets against the new epoch's
-//! and collects the dirty vertices: failed, recovered or defected
-//! vertices with their neighbours, and the endpoints of changed edges.
-//! An epoch with no dirty vertex leaves the masked view as it was and
-//! keeps every column. Any other epoch blanks the columns of brokers
-//! that left service and rebuilds every live column. A per-shard test
-//! (keep a shard whose old `max_l`-ball misses every dirty vertex)
-//! would spare nothing in practice: at l = 6, the cap brokerd, the
-//! bench bins and the benchmark build at, a broker's dominated ball
-//! holds nearly every vertex of the generated topologies, and no
-//! measured changed epoch kept a shard. The counter
+//! An epoch flip ([`ReachIndex::apply_state`]) decides per epoch. It
+//! diffs the index's fault sets against the new epoch's and collects the
+//! dirty vertices: failed, recovered or defected vertices with their
+//! neighbours, and the endpoints of changed edges. An epoch with no
+//! dirty vertex leaves the masked view as it was and keeps everything.
+//! Any other epoch rebuilds the lists and every live row, which also
+//! blanks the brokers that left service. The counter
 //! `index.shards_invalidated` tracks churn.
+//!
+//! ## Persistence
+//!
+//! The `BRI1` format stores the expanded `n × k` table, one row per
+//! vertex: [`ReachIndex::to_bytes`] derives row `v` as
+//! `o(v) + min over S(v)`, and [`ReachIndex::from_bytes`] takes the live
+//! brokers' rows back as `R` and each `S(v)` from the distance-1 entries
+//! at live positions, then rejects a blob that does not re-encode to
+//! itself.
 
 use netgraph::msbfs::LANES;
 use netgraph::{
-    fnv1a, with_msbfs, AuditReport, DominatedView, FaultState, Graph, GraphView, MaskedView,
-    NodeId, NodeSet, Validate,
+    fnv1a, with_msbfs, AuditReport, DominatedView, FaultState, Graph, MaskedView, NodeId, NodeSet,
+    Validate,
 };
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::ops::ControlFlow;
-use std::sync::Arc;
 
-/// Sentinel for "not reachable within the hop cap" in a distance shard.
+/// Sentinel for "not reachable within the hop cap" in a broker row.
 pub const UNREACH: u8 = u8::MAX;
 
 /// Largest supported hop cap (distances are stored as `u8` with
 /// [`UNREACH`] reserved).
 pub const MAX_HOP_CAP: usize = 254;
+
+/// Roster positions one step of the query scan reads; broker rows are
+/// padded with [`UNREACH`] to a multiple of it.
+const CHUNK: usize = 32;
 
 /// One answered stitch query: the broker to route through and the hop
 /// split on either side. `hops_s + hops_t` is the exact dominated hop
@@ -111,23 +122,23 @@ impl StitchAnswer {
 }
 
 /// What one invalidation pass ([`ReachIndex::apply_state`]) did to the
-/// shard set.
+/// broker rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InvalidationReport {
     /// Epoch the index now reflects.
     pub epoch: u32,
     /// Vertices flagged dirty by the changed elements. Zero means the
-    /// epoch changed nothing the shards see.
+    /// epoch changed nothing the index sees.
     pub dirty: usize,
-    /// Shards recomputed from scratch (includes reactivated ones):
-    /// every live shard when `dirty > 0`, none otherwise.
+    /// Live broker rows recomputed from scratch (includes reactivated
+    /// ones): every live row when `dirty > 0`, none otherwise.
     pub rebuilt: usize,
-    /// Live shards kept verbatim: every live shard when `dirty == 0`,
+    /// Live broker rows kept verbatim: every live row when `dirty == 0`,
     /// none otherwise.
     pub kept: usize,
-    /// Columns blanked because their broker left service.
+    /// Rows blanked because their broker left service.
     pub deactivated: usize,
-    /// Columns revived because their broker returned to service.
+    /// Rows revived because their broker returned to service.
     pub reactivated: usize,
 }
 
@@ -160,61 +171,9 @@ impl std::error::Error for IndexCodecError {}
 
 const MAGIC: &[u8; 4] = b"BRI1";
 
-/// The masked dominated view the shards are computed over: the edges of
-/// `MaskedView::new(DominatedView::new(g, alive), Some(down), Some(cut))`,
-/// with the domination test and both masks fused into one pass over each
-/// CSR row of the shard-write loop.
-#[derive(Debug, Clone, Copy)]
-struct MaskView<'a> {
-    g: &'a Graph,
-    alive: &'a NodeSet,
-    down: &'a NodeSet,
-    cut: &'a BTreeSet<(u32, u32)>,
-}
-
-impl GraphView for MaskView<'_> {
-    fn node_count(&self) -> usize {
-        self.g.node_count()
-    }
-
-    #[inline]
-    fn try_for_each_neighbor(
-        &self,
-        u: NodeId,
-        mut visit: impl FnMut(NodeId) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if self.down.contains(u) {
-            return ControlFlow::Continue(());
-        }
-        let u_alive_broker = self.alive.contains(u);
-        let check_cut = !self.cut.is_empty();
-        for &v in self.g.neighbors(u) {
-            if !u_alive_broker && !self.alive.contains(v) {
-                continue; // not a dominated edge under the live brokers
-            }
-            if self.down.contains(v) {
-                continue;
-            }
-            if check_cut && self.cut.contains(&netgraph::undirected_key(u, v)) {
-                continue;
-            }
-            visit(v)?;
-        }
-        ControlFlow::Continue(())
-    }
-
-    #[inline]
-    fn contains_node(&self, v: NodeId) -> bool {
-        v.index() < self.g.node_count() && !self.down.contains(v)
-    }
-
-    fn is_symmetric(&self) -> bool {
-        true // domination, vertex masks and undirected cuts are all symmetric
-    }
-}
-
 /// Precomputed hop-bounded reachability index over the dominated
-/// subgraph: one `u8` distance shard per roster broker, vertex-major.
+/// subgraph: the capped `u8` distances between the roster brokers and
+/// each vertex's live broker neighbours.
 ///
 /// Build with [`ReachIndex::build`] (or [`ReachIndex::build_under`]),
 /// ask with [`ReachIndex::query`], persist with
@@ -226,14 +185,23 @@ pub struct ReachIndex {
     max_l: u8,
     epoch: u32,
     shards_invalidated: u64,
-    /// Full broker roster, ascending by id; column `j` belongs to
+    /// Full broker roster, ascending by id; position `j` belongs to
     /// `brokers[j]` forever (fault churn blanks, never relayouts).
     brokers: Vec<NodeId>,
     roster: NodeSet,
     live: Vec<bool>,
-    /// `dist[v * k + j]` = dominated hops from `brokers[j]` to `v`,
-    /// capped at `max_l`, [`UNREACH`] beyond.
-    dist: Vec<u8>,
+    /// `rows[a * stride + j]` = dominated hops between `brokers[a]` and
+    /// `brokers[j]`, capped at `max_l`, [`UNREACH`] beyond. Rows and
+    /// columns of brokers out of service and the padding up to the
+    /// stride (`k` rounded up to a multiple of [`CHUNK`]) are
+    /// [`UNREACH`].
+    rows: Vec<u8>,
+    /// `S(v)` as a CSR: `lists[starts[v]..starts[v + 1]]` are the
+    /// ascending roster positions of the live brokers one uncut dominated
+    /// hop from `v` (none for a failed vertex, or when one hop exceeds
+    /// the cap); a live broker lists only itself.
+    starts: Vec<u32>,
+    lists: Vec<u32>,
     /// Failed vertices at the indexed epoch.
     down: NodeSet,
     /// Cut edges at the indexed epoch (normalized keys).
@@ -261,7 +229,7 @@ impl ReachIndex {
 
     /// Build the index as of one fault epoch: failed vertices and cut
     /// edges are masked, defected (or dead-vertex) brokers get blank
-    /// columns. Mirrors the chaos layer's evaluation view exactly.
+    /// rows. Mirrors the chaos layer's evaluation view exactly.
     pub fn build_under(
         g: &Graph,
         brokers: &NodeSet,
@@ -270,32 +238,24 @@ impl ReachIndex {
         threads: usize,
     ) -> Self {
         assert!(max_l <= MAX_HOP_CAP, "max_l {max_l} exceeds {MAX_HOP_CAP}");
-        let n = g.node_count();
-        let roster_ids: Vec<NodeId> = brokers.iter().collect();
-        let k = roster_ids.len();
-        let down = state.failed_nodes().clone();
-        let cut = state.failed_edges().clone();
-        let defected = state.failed_brokers().clone();
-        let mut alive = brokers.clone();
-        alive.difference_with(&defected);
-        alive.difference_with(&down);
-        let live: Vec<bool> = roster_ids.iter().map(|&b| alive.contains(b)).collect();
-
         let mut idx = ReachIndex {
-            n,
+            n: g.node_count(),
             max_l: max_l as u8,
             epoch: state.epoch(),
             shards_invalidated: 0,
-            brokers: roster_ids,
+            brokers: brokers.iter().collect(),
             roster: brokers.clone(),
-            live,
-            dist: vec![UNREACH; n * k],
-            down,
-            cut,
-            defected,
+            live: Vec::new(),
+            rows: Vec::new(),
+            starts: Vec::new(),
+            lists: Vec::new(),
+            down: state.failed_nodes().clone(),
+            cut: state.failed_edges().clone(),
+            defected: state.failed_brokers().clone(),
         };
-        let js: Vec<usize> = (0..k).filter(|&j| idx.live[j]).collect();
-        idx.rebuild_columns(g, &js, threads);
+        let alive = idx.alive();
+        idx.live = idx.brokers.iter().map(|&b| alive.contains(b)).collect();
+        idx.rebuild(g, &alive, threads);
         let () = netgraph::counter!("index.builds");
         idx
     }
@@ -305,12 +265,12 @@ impl ReachIndex {
         self.n
     }
 
-    /// Roster size (one shard per broker, live or not).
+    /// Roster size (one row per broker, live or not).
     pub fn broker_count(&self) -> usize {
         self.brokers.len()
     }
 
-    /// The hop cap every shard is truncated at.
+    /// The hop cap every row is truncated at.
     pub fn max_l(&self) -> usize {
         self.max_l as usize
     }
@@ -320,12 +280,12 @@ impl ReachIndex {
         self.epoch
     }
 
-    /// Brokers currently in service (live shards).
+    /// Brokers currently in service (live rows).
     pub fn live_brokers(&self) -> usize {
         self.live.iter().filter(|&&l| l).count()
     }
 
-    /// Cumulative shards invalidated (rebuilt or blanked) by
+    /// Cumulative broker rows invalidated (rebuilt or blanked) by
     /// [`ReachIndex::apply_state`].
     pub fn shards_invalidated(&self) -> u64 {
         self.shards_invalidated
@@ -342,10 +302,9 @@ impl ReachIndex {
     /// endpoint is failed; `s == t` answers the zero-hop self path
     /// (matching `stitch_path`'s `[s]`).
     ///
-    /// Two passes over the rows of `s` and `t`: the minimum saturating
-    /// `u8` sum, then its first position. Sums that saturate at
-    /// [`UNREACH`] never fit a cap of at most [`MAX_HOP_CAP`], and the
-    /// first position is the smallest broker id (see the module docs).
+    /// The broker pairs of `S(s) × S(t)` settle a miss; a hit scans the
+    /// minima of their rows 32 positions at a time for the first
+    /// saturating sum equal to the best pair (see the module docs).
     pub fn query(&self, s: NodeId, t: NodeId, l: usize) -> Option<StitchAnswer> {
         if s.index() >= self.n || t.index() >= self.n {
             return None;
@@ -362,30 +321,87 @@ impl ReachIndex {
         }
         // Clamp in usize, then narrow: the result is at most max_l ≤ 254.
         let cap = usize::from(self.max_l).min(l) as u8;
-        let k = self.brokers.len();
-        let rs = &self.dist[s.index() * k..][..k];
-        let rt = &self.dist[t.index() * k..][..k];
-        let best = rs
-            .iter()
-            .zip(rt)
-            .fold(UNREACH, |m, (&ds, &dt)| m.min(ds.saturating_add(dt)));
-        if best > cap {
+        let (ls, lt) = (self.list(s), self.list(t));
+        let (os, ot) = (self.offset(s, ls), self.offset(t, lt));
+        let w = self.stride();
+        let mut best = UNREACH;
+        for &a in ls {
+            let row = &self.rows[a as usize * w..][..w];
+            for &b in lt {
+                best = best.min(row[b as usize]);
+            }
+        }
+        if u16::from(best) + u16::from(os + ot) > u16::from(cap) {
             return None;
         }
-        let j = rs
-            .iter()
-            .zip(rt)
-            .position(|(&ds, &dt)| ds.saturating_add(dt) == best)?;
-        Some(StitchAnswer {
-            broker: self.brokers[j],
-            hops_s: u32::from(rs[j]),
-            hops_t: u32::from(rt[j]),
-        })
+        for c in (0..w).step_by(CHUNK) {
+            let (ms, mt) = (self.chunk_min(ls, c), self.chunk_min(lt, c));
+            let mut sums = ms.iter().zip(&mt).map(|(&x, &y)| x.saturating_add(y));
+            if sums.clone().fold(false, |hit, sum| hit | (sum == best)) {
+                let i = sums.position(|sum| sum == best)?;
+                return Some(StitchAnswer {
+                    broker: self.brokers[c + i],
+                    hops_s: u32::from(os + ms[i]),
+                    hops_t: u32::from(ot + mt[i]),
+                });
+            }
+        }
+        None
+    }
+
+    /// Width of a broker row: `k` rounded up to a multiple of [`CHUNK`].
+    fn stride(&self) -> usize {
+        self.brokers.len().div_ceil(CHUNK) * CHUNK
+    }
+
+    /// `S(v)`: roster positions of the live brokers next to `v`.
+    fn list(&self, v: NodeId) -> &[u32] {
+        &self.lists[self.starts[v.index()] as usize..self.starts[v.index() + 1] as usize]
+    }
+
+    /// `o(v)`: 0 for a live broker, which lists only itself, else 1.
+    fn offset(&self, v: NodeId, list: &[u32]) -> u8 {
+        u8::from(!matches!(list, &[a] if self.brokers[a as usize] == v))
+    }
+
+    /// The entrywise minimum of the rows in `list` over positions
+    /// `c..c + CHUNK`.
+    fn chunk_min(&self, list: &[u32], c: usize) -> [u8; CHUNK] {
+        let mut m = [UNREACH; CHUNK];
+        for &a in list {
+            let row = &self.rows[a as usize * self.stride() + c..][..CHUNK];
+            m.iter_mut().zip(row).for_each(|(x, &d)| *x = (*x).min(d));
+        }
+        m
+    }
+
+    /// Row `v` of the expanded table (`out.len() == k`): `o(v)` plus the
+    /// minimum of the rows in `S(v)`, [`UNREACH`] beyond the cap.
+    fn expand_row(&self, v: NodeId, out: &mut [u8]) {
+        let list = self.list(v);
+        let o = self.offset(v, list);
+        out.fill(UNREACH);
+        for &a in list {
+            let row = &self.rows[a as usize * self.stride()..];
+            out.iter_mut().zip(row).for_each(|(x, &d)| *x = (*x).min(d));
+        }
+        for x in out.iter_mut() {
+            let d = x.saturating_add(o);
+            *x = if d > self.max_l { UNREACH } else { d };
+        }
+    }
+
+    /// Live brokers under the indexed fault sets.
+    fn alive(&self) -> NodeSet {
+        let mut alive = self.roster.clone();
+        alive.difference_with(&self.defected);
+        alive.difference_with(&self.down);
+        alive
     }
 
     /// Re-point the index at a new fault epoch. An epoch with no dirty
-    /// vertex keeps every column; any other epoch blanks the columns of
-    /// brokers that left service and rebuilds every live column (see the
+    /// vertex keeps everything; any other epoch rebuilds the lists and
+    /// every live row, blanking the brokers that left service (see the
     /// module docs). `g` must be the same topology the index was built
     /// from.
     pub fn apply_state(
@@ -425,44 +441,30 @@ impl ReachIndex {
             }
         }
 
-        let mut alive = self.roster.clone();
-        alive.difference_with(new_defected);
-        alive.difference_with(new_down);
-        let new_live: Vec<bool> = self.brokers.iter().map(|&b| alive.contains(b)).collect();
-
-        let changed = !dirty.is_empty();
-        let mut rebuild = Vec::new();
-        let mut report = InvalidationReport {
-            epoch: state.epoch(),
-            dirty: dirty.len(),
-            rebuilt: 0,
-            kept: 0,
-            deactivated: 0,
-            reactivated: 0,
-        };
-        for (j, &now_live) in new_live.iter().enumerate() {
-            match (self.live[j], now_live) {
-                (true, false) => {
-                    report.deactivated += 1;
-                    self.blank_column(j);
-                }
-                (false, true) => {
-                    report.reactivated += 1;
-                    rebuild.push(j);
-                }
-                (true, true) if changed => rebuild.push(j),
-                (true, true) => report.kept += 1,
-                (false, false) => {}
-            }
-        }
-        report.rebuilt = rebuild.len();
-
         self.down = new_down.clone();
         self.cut = new_cut.clone();
         self.defected = new_defected.clone();
-        self.live = new_live;
         self.epoch = state.epoch();
-        self.rebuild_columns(g, &rebuild, threads);
+        let alive = self.alive();
+        let new_live: Vec<bool> = self.brokers.iter().map(|&b| alive.contains(b)).collect();
+        let live_now = new_live.iter().filter(|&&l| l).count();
+        let changed = !dirty.is_empty();
+        let mut report = InvalidationReport {
+            epoch: state.epoch(),
+            dirty: dirty.len(),
+            rebuilt: if changed { live_now } else { 0 },
+            kept: if changed { 0 } else { live_now },
+            deactivated: 0,
+            reactivated: 0,
+        };
+        for (&was, &now) in self.live.iter().zip(&new_live) {
+            report.deactivated += usize::from(was && !now);
+            report.reactivated += usize::from(!was && now);
+        }
+        self.live = new_live;
+        if changed {
+            self.rebuild(g, &alive, threads);
+        }
 
         self.shards_invalidated += (report.rebuilt + report.deactivated) as u64;
         let () = netgraph::counter!(
@@ -472,40 +474,75 @@ impl ReachIndex {
         report
     }
 
-    fn blank_column(&mut self, j: usize) {
-        let k = self.brokers.len();
-        for v in 0..self.n {
-            self.dist[v * k + j] = UNREACH;
-        }
-    }
-
-    /// Recompute the given columns (ascending roster positions) from
-    /// scratch over the current masked view of `g`.
-    fn rebuild_columns(&mut self, g: &Graph, js: &[usize], threads: usize) {
-        if js.is_empty() {
-            return;
-        }
-        let mut alive = self.roster.clone();
-        alive.difference_with(&self.defected);
-        alive.difference_with(&self.down);
-        let inputs = ShardInputs {
-            g: g.clone(),
-            alive,
-            down: self.down.clone(),
-            cut: self.cut.clone(),
-            max_l: self.max_l,
+    /// Recompute the `S(v)` lists and every live broker row over the
+    /// masked dominated view of `g`, where `alive` holds the live
+    /// brokers; the rows of brokers out of service come back blank.
+    fn rebuild(&mut self, g: &Graph, alive: &NodeSet, threads: usize) {
+        let brokers = &self.brokers;
+        // A live broker's roster position: the bitset test comes before
+        // the search.
+        let live_pos = |b: NodeId| {
+            alive
+                .contains(b)
+                .then(|| brokers.binary_search(&b).ok())
+                .flatten()
         };
-        let sources: Vec<NodeId> = js.iter().map(|&j| self.brokers[j]).collect();
-        let k = self.brokers.len();
-        write_shards(&mut self.dist, k, inputs, &sources, js, threads);
+        self.starts.clear();
+        self.lists.clear();
+        self.starts.push(0);
+        for v in g.nodes() {
+            if let Some(j) = live_pos(v) {
+                self.lists.push(j as u32);
+            } else if self.max_l > 0 && !self.down.contains(v) {
+                for &a in g.neighbors(v) {
+                    let uncut = || !self.cut.contains(&netgraph::undirected_key(v, a));
+                    self.lists
+                        .extend(live_pos(a).filter(|_| uncut()).map(|j| j as u32));
+                }
+            }
+            self.starts.push(self.lists.len() as u32);
+        }
+
+        // Each 64-lane batch fills one row per source, lane-major.
+        let w = self.stride();
+        let live_js: Vec<usize> = (0..brokers.len()).filter(|&j| self.live[j]).collect();
+        let sources: Vec<NodeId> = live_js.iter().map(|&j| brokers[j]).collect();
+        let batches: Vec<&[NodeId]> = sources.chunks(LANES).collect();
+        let view = MaskedView::new(
+            DominatedView::new(g, alive),
+            Some(&self.down),
+            Some(&self.cut),
+        );
+        let max_l = u32::from(self.max_l);
+        let blocks = netgraph::par::map_auto(&batches, threads, |batch| {
+            let mut block = vec![UNREACH; batch.len() * w];
+            with_msbfs(|arena| {
+                arena.run(view, batch, max_l, |wf| {
+                    let level = wf.level() as u8;
+                    wf.for_each_new(|v, lanes| {
+                        if let Some(j) = live_pos(v) {
+                            lanes.for_each_lane(|lane| block[lane * w + j] = level);
+                        }
+                    });
+                });
+            });
+            block
+        });
+        let mut rows = vec![UNREACH; brokers.len() * w];
+        let built = blocks.iter().flat_map(|b| b.chunks_exact(w));
+        for (&j, row) in live_js.iter().zip(built) {
+            rows[j * w..][..w].copy_from_slice(row);
+        }
+        self.rows = rows;
     }
 
     /// Serialize into the `BRI1` binary format (little-endian, FNV-1a
-    /// trailer). The bytes are a pure function of the index contents —
-    /// bit-identical across thread counts and CSR layouts.
+    /// trailer), expanding one table row per vertex. The bytes are a
+    /// pure function of the index contents — bit-identical across
+    /// thread counts and CSR layouts.
     pub fn to_bytes(&self) -> Vec<u8> {
         let k = self.brokers.len();
-        let mut buf = Vec::with_capacity(32 + 5 * k + self.dist.len());
+        let mut buf = Vec::with_capacity(32 + 5 * k + self.n * k);
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&(self.n as u32).to_le_bytes());
         buf.extend_from_slice(&(k as u32).to_le_bytes());
@@ -525,7 +562,11 @@ impl ReachIndex {
             buf.extend_from_slice(&b.to_le_bytes());
         }
         push_ids(&mut buf, &self.defected);
-        buf.extend_from_slice(&self.dist);
+        let mut row = vec![UNREACH; k];
+        for v in 0..self.n {
+            self.expand_row(NodeId(v as u32), &mut row);
+            buf.extend_from_slice(&row);
+        }
         let digest = fnv1a(buf.iter().copied());
         buf.extend_from_slice(&digest.to_le_bytes());
         buf
@@ -538,7 +579,9 @@ impl ReachIndex {
     /// Returns an [`IndexCodecError`] on truncation, bad magic, checksum
     /// mismatch or violated structural invariants; a blob that parses but
     /// fails the [`Validate`] audit is `Corrupt` with the first failed
-    /// invariant's name.
+    /// invariant's name, and one that does not re-encode to itself (a
+    /// table row that does not derive from the broker rows, or an id
+    /// list out of canonical order) is `Corrupt` too.
     pub fn from_bytes(data: &[u8]) -> Result<Self, IndexCodecError> {
         if data.len() < 8 {
             return Err(IndexCodecError::Truncated);
@@ -568,11 +611,11 @@ impl ReachIndex {
         let shards_invalidated = cur.u64()?;
         // Check the header's counts against the payload before allocating
         // for them: the roster and its live flags take 5·k bytes, the
-        // shards n·k.
+        // table n·k.
         let needed = k
             .checked_mul(5)
             .zip(n.checked_mul(k))
-            .and_then(|(roster, shards)| roster.checked_add(shards));
+            .and_then(|(roster, table)| roster.checked_add(table));
         if needed.is_none_or(|needed| needed > cur.data.len()) {
             return Err(IndexCodecError::Truncated);
         }
@@ -603,9 +646,27 @@ impl ReachIndex {
             cut.insert((a, b));
         }
         let defected = cur.ids(n, "defected broker id out of range")?;
-        let dist = cur.bytes(n * k)?.to_vec();
+        let table = cur.bytes(n * k)?;
         if !cur.data.is_empty() {
-            return Err(IndexCodecError::Corrupt("trailing bytes after shards"));
+            return Err(IndexCodecError::Corrupt("trailing bytes after the table"));
+        }
+        // R takes the live brokers' table rows; S(v) is a live broker's
+        // own position, else the live positions at distance 1.
+        let w = k.div_ceil(CHUNK) * CHUNK;
+        let mut rows = vec![UNREACH; k * w];
+        let mut starts = vec![0u32];
+        let mut lists = Vec::new();
+        for v in 0..n {
+            let row = &table[v * k..][..k];
+            match brokers.binary_search(&NodeId(v as u32)) {
+                Ok(j) if live[j] => {
+                    rows[j * w..][..k].copy_from_slice(row);
+                    lists.push(j as u32);
+                }
+                _ => lists
+                    .extend((0..k as u32).filter(|&j| live[j as usize] && row[j as usize] == 1)),
+            }
+            starts.push(lists.len() as u32);
         }
         let roster = NodeSet::from_iter_with_capacity(n, brokers.iter().copied());
         let index = ReachIndex {
@@ -616,17 +677,25 @@ impl ReachIndex {
             brokers,
             roster,
             live,
-            dist,
+            rows,
+            starts,
+            lists,
             down,
             cut,
             defected,
         };
         // The checksum vouches for the bytes, not their meaning: a blob
-        // edited and re-signed must still pass the structural audit.
-        match index.audit().findings.first() {
-            Some(finding) => Err(IndexCodecError::Corrupt(finding.invariant)),
-            None => Ok(index),
+        // edited and re-signed must still pass the structural audit and
+        // derive every table row from the broker rows.
+        if let Some(finding) = index.audit().findings.first() {
+            return Err(IndexCodecError::Corrupt(finding.invariant));
         }
+        if index.to_bytes() != data {
+            return Err(IndexCodecError::Corrupt(
+                "table rows do not derive from the broker rows",
+            ));
+        }
+        Ok(index)
     }
 
     /// [`ReachIndex::to_bytes`] to a file.
@@ -657,63 +726,61 @@ impl ReachIndex {
 }
 
 impl Validate for ReachIndex {
-    /// Structural invariants: shard dimensions, roster ordering, live
-    /// flags consistent with the fault sets, dead columns blank, live
-    /// self-distances zero, every entry within the hop cap, and failed
-    /// vertices' rows blank.
+    /// Structural invariants: dimensions, roster ordering, live flags
+    /// consistent with the fault sets, dead and padding positions blank,
+    /// live self-distances zero, every entry within the hop cap, and no
+    /// broker listed next to a failed vertex.
     fn audit(&self) -> AuditReport {
         let mut rep = AuditReport::new("brokerset::ReachIndex");
-        let k = self.brokers.len();
-        rep.check("index.dims", self.dist.len() == self.n * k, || {
-            format!("{} shard bytes for n={} k={k}", self.dist.len(), self.n)
+        let (k, w) = (self.brokers.len(), self.stride());
+        let dims = self.rows.len() == k * w
+            && self.live.len() == k
+            && self.starts.len() == self.n + 1
+            && self.starts.last() == Some(&(self.lists.len() as u32));
+        rep.check("index.dims", dims, || {
+            let (rows, starts) = (self.rows.len(), self.starts.len());
+            format!(
+                "{rows} row bytes and {starts} list offsets for n={} k={k}",
+                self.n
+            )
         });
+        if !dims {
+            return rep;
+        }
         let sorted = self.brokers.windows(2).all(|w| w[0].0 < w[1].0)
             && self.brokers.iter().all(|b| b.index() < self.n);
         rep.check("index.roster-sorted", sorted, || {
             "roster not strictly ascending in range".to_string()
         });
-        let mut flag_bad = 0usize;
-        let mut dead_dirty = 0usize;
-        let mut self_bad = 0usize;
-        let mut over_cap = 0usize;
-        for (j, &b) in self.brokers.iter().enumerate() {
-            let should_live =
-                !self.defected.contains(b) && !self.down.contains(b) && self.roster.contains(b);
-            if self.live[j] != should_live {
-                flag_bad += 1;
-            }
-            if self.live[j] {
-                if self.dist.get(b.index() * k + j) != Some(&0) {
-                    self_bad += 1;
-                }
-            } else {
-                for v in 0..self.n {
-                    if self.dist[v * k + j] != UNREACH {
-                        dead_dirty += 1;
-                        break;
-                    }
-                }
-            }
-        }
-        for &d in &self.dist {
-            if d != UNREACH && d > self.max_l {
-                over_cap += 1;
-            }
-        }
-        let mut down_dirty = 0usize;
-        for v in self.down.iter() {
-            if self.dist[v.index() * k..v.index() * k + k]
+        let live_at = |j: usize| j < k && self.live[j];
+        let flag_bad = (0..k)
+            .filter(|&j| {
+                live_at(j)
+                    == (self.defected.contains(self.brokers[j])
+                        || self.down.contains(self.brokers[j]))
+            })
+            .count();
+        let (mut dead_dirty, mut self_bad, mut over_cap) = (0usize, 0usize, 0usize);
+        for a in 0..k {
+            let row = &self.rows[a * w..][..w];
+            self_bad += usize::from(live_at(a) && row[a] != 0);
+            let stale = |(j, &d): (usize, &u8)| d != UNREACH && !(live_at(a) && live_at(j));
+            dead_dirty += usize::from(row.iter().enumerate().any(stale));
+            over_cap += row
                 .iter()
-                .any(|&d| d != UNREACH)
-            {
-                down_dirty += 1;
-            }
+                .filter(|&&d| d != UNREACH && d > self.max_l)
+                .count();
         }
+        let down_dirty = self
+            .down
+            .iter()
+            .filter(|&v| v.index() < self.n && !self.list(v).is_empty())
+            .count();
         rep.check("index.live-consistent", flag_bad == 0, || {
             format!("{flag_bad} live flags disagree with the fault sets")
         });
         rep.check("index.dead-columns-blank", dead_dirty == 0, || {
-            format!("{dead_dirty} dead columns hold stale distances")
+            format!("{dead_dirty} broker rows hold distances at dead or padding positions")
         });
         rep.check("index.self-distance-zero", self_bad == 0, || {
             format!("{self_bad} live brokers lack a zero self-distance")
@@ -722,15 +789,16 @@ impl Validate for ReachIndex {
             format!("{over_cap} entries exceed the {} hop cap", self.max_l)
         });
         rep.check("index.down-rows-blank", down_dirty == 0, || {
-            format!("{down_dirty} failed vertices hold stale rows")
+            format!("{down_dirty} failed vertices list live brokers")
         });
         rep
     }
 }
 
-/// A label-soundness certificate: re-derives sampled shards by an
-/// independent queue BFS over the masked dominated edge set (sharing no
-/// code with the msbfs build path) and compares every entry.
+/// A label-soundness certificate: re-derives sampled broker columns by
+/// an independent queue BFS over the masked dominated edge set (sharing
+/// no code with the msbfs build path) and compares every entry of the
+/// derived table.
 #[derive(Debug)]
 pub struct IndexCertificate<'a> {
     g: &'a Graph,
@@ -740,8 +808,8 @@ pub struct IndexCertificate<'a> {
 }
 
 impl<'a> IndexCertificate<'a> {
-    /// Certificate re-checking up to `columns` live shards, sampled
-    /// deterministically from `seed`.
+    /// Certificate re-checking up to `columns` live broker columns,
+    /// sampled deterministically from `seed`.
     pub fn new(g: &'a Graph, idx: &'a ReachIndex, columns: usize, seed: u64) -> Self {
         IndexCertificate {
             g,
@@ -790,48 +858,47 @@ impl<'a> IndexCertificate<'a> {
 }
 
 impl Validate for IndexCertificate<'_> {
-    /// Sampled shard-exactness audit plus full shard-coverage audit.
+    /// Sampled column-exactness audit plus the full structural audit.
     fn audit(&self) -> AuditReport {
         let mut rep = AuditReport::new("brokerset::IndexCertificate");
-        rep.absorb(self.idx.audit());
+        let idx = self.idx;
+        rep.absorb(idx.audit());
         rep.check(
             "certificate.graph-size",
-            self.g.node_count() == self.idx.n,
+            self.g.node_count() == idx.n,
             || {
                 format!(
                     "index covers {} vertices, graph has {}",
-                    self.idx.n,
+                    idx.n,
                     self.g.node_count()
                 )
             },
         );
-        if self.g.node_count() != self.idx.n {
+        if self.g.node_count() != idx.n || !rep.is_ok() {
             return rep;
         }
-        let mut alive = self.idx.roster.clone();
-        alive.difference_with(&self.idx.defected);
-        alive.difference_with(&self.idx.down);
-        let live_js: Vec<usize> = (0..self.idx.brokers.len())
-            .filter(|&j| self.idx.live[j])
-            .collect();
+        let alive = idx.alive();
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let mut picked = live_js;
+        let mut picked: Vec<usize> = (0..idx.brokers.len()).filter(|&j| idx.live[j]).collect();
         picked.shuffle(&mut rng);
         picked.truncate(self.columns);
         picked.sort_unstable();
-        let k = self.idx.brokers.len();
+        let reference: Vec<Vec<u8>> = picked
+            .iter()
+            .map(|&j| self.reference_column(idx.brokers[j], &alive))
+            .collect();
+        let mut row = vec![UNREACH; idx.brokers.len()];
         let mut wrong = 0usize;
         let mut exemplar = String::new();
-        for &j in &picked {
-            let b = self.idx.brokers[j];
-            let reference = self.reference_column(b, &alive);
-            for (v, &want) in reference.iter().enumerate() {
-                if self.idx.dist[v * k + j] != want {
+        for v in 0..idx.n {
+            idx.expand_row(NodeId(v as u32), &mut row);
+            for (&j, col) in picked.iter().zip(&reference) {
+                if row[j] != col[v] {
                     wrong += 1;
                     if exemplar.is_empty() {
                         exemplar = format!(
-                            "shard {b} at vertex {v}: stored {} want {want}",
-                            self.idx.dist[v * k + j]
+                            "broker {} at vertex {v}: derived {} want {}",
+                            idx.brokers[j], row[j], col[v]
                         );
                     }
                 }
@@ -839,7 +906,7 @@ impl Validate for IndexCertificate<'_> {
         }
         rep.check("certificate.shards-exact", wrong == 0, || {
             format!(
-                "{wrong} label(s) diverge from the reference BFS over {} sampled shards ({exemplar})",
+                "{wrong} label(s) diverge from the reference BFS over {} sampled columns ({exemplar})",
                 picked.len()
             )
         });
@@ -974,86 +1041,6 @@ impl<'a> Cur<'a> {
     }
 }
 
-/// What every shard batch reads: the graph and the masks of the
-/// dominated view the shards are computed over. It holds its own copy
-/// of the graph on purpose: the same shard code over the caller's graph
-/// measured 15–30 % slower per full-scale `apply_state` (the index-churn
-/// benchmark) although it does less work; the copy stays until that is
-/// explained.
-struct ShardInputs {
-    g: Graph,
-    alive: NodeSet,
-    down: NodeSet,
-    cut: BTreeSet<(u32, u32)>,
-    max_l: u8,
-}
-
-/// Compute the shard of each of `sources` and write source `i`'s
-/// distances over column `cols[i]` of the vertex-major table `dist` (row
-/// width `k`). Every entry of a written column is overwritten,
-/// [`UNREACH`] included.
-///
-/// Batches of 64 sources run as msbfs on `netgraph::par` in waves of
-/// 64 × workers columns. Each batch fills a vertex-major block
-/// `block[v·w + lane]`, and a wave's blocks merge into `dist` in one
-/// row-order pass before the next wave starts, so at most one wave of
-/// blocks is alive. Blocks merge in batch order: the bytes are identical
-/// at every thread count.
-fn write_shards(
-    dist: &mut [u8],
-    k: usize,
-    inputs: ShardInputs,
-    sources: &[NodeId],
-    cols: &[usize],
-    threads: usize,
-) {
-    debug_assert_eq!(sources.len(), cols.len(), "one column per source");
-    let n = inputs.g.node_count();
-    let inputs = Arc::new(inputs);
-    let wave = LANES * netgraph::par::resolve_threads(threads);
-    for (wave_sources, wave_cols) in sources.chunks(wave).zip(cols.chunks(wave)) {
-        let batches: Vec<Vec<NodeId>> =
-            wave_sources.chunks(LANES).map(<[NodeId]>::to_vec).collect();
-        let shared = Arc::clone(&inputs);
-        let blocks =
-            netgraph::par::map_auto(&batches, threads, move |batch| shard_block(&shared, batch));
-        for v in 0..n {
-            let row = &mut dist[v * k..][..k];
-            for (block, block_cols) in blocks.iter().zip(wave_cols.chunks(LANES)) {
-                let w = block_cols.len();
-                for (&j, &d) in block_cols.iter().zip(&block[v * w..][..w]) {
-                    row[j] = d;
-                }
-            }
-        }
-    }
-}
-
-/// One msbfs batch as a vertex-major block: `block[v·w + lane]` is the
-/// hop count from `sources[lane]` to `v` (`w` = batch width), or
-/// [`UNREACH`] beyond the cap.
-fn shard_block(inputs: &ShardInputs, sources: &[NodeId]) -> Vec<u8> {
-    let n = inputs.g.node_count();
-    let w = sources.len();
-    let mut block = vec![UNREACH; n * w];
-    let view = MaskView {
-        g: &inputs.g,
-        alive: &inputs.alive,
-        down: &inputs.down,
-        cut: &inputs.cut,
-    };
-    with_msbfs(|arena| {
-        arena.run(view, sources, u32::from(inputs.max_l), |wf| {
-            let level = wf.level() as u8;
-            wf.for_each_new(|v, lanes| {
-                let row = &mut block[v.index() * w..][..w];
-                lanes.for_each_lane(|lane| row[lane] = level);
-            });
-        });
-    });
-    block
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1063,6 +1050,12 @@ mod tests {
 
     fn set(capacity: usize, ids: &[u32]) -> NodeSet {
         NodeSet::from_iter_with_capacity(capacity, ids.iter().map(|&i| NodeId(i)))
+    }
+
+    /// The state two indexes must share: the broker rows, the `S(v)`
+    /// lists and the live flags.
+    fn rows_and_lists(idx: &ReachIndex) -> (&[u8], &[u32], &[u32], &[bool]) {
+        (&idx.rows, &idx.starts, &idx.lists, &idx.live)
     }
 
     /// Path 0-1-2-3-4 with brokers {1, 3}.
@@ -1186,6 +1179,17 @@ mod tests {
             ReachIndex::from_bytes(&edited(33, 0)),
             Err(IndexCodecError::Corrupt("index.live-consistent"))
         );
+        // The table starts after the live flags and three empty id lists
+        // (byte 47); vertex 2's row [1, 1] sits at 51. As [2, 1] every
+        // entry is within the cap, but vertex 2 still lists broker 3, so
+        // the row re-derives as [3, 1].
+        assert_eq!(bytes[51..53], [1, 1]);
+        assert_eq!(
+            ReachIndex::from_bytes(&edited(51, 2)),
+            Err(IndexCodecError::Corrupt(
+                "table rows do not derive from the broker rows"
+            ))
+        );
         // A header claiming u32::MAX brokers with no roster behind it must
         // be rejected before anything is sized by that count.
         let mut huge_roster = MAGIC.to_vec();
@@ -1224,8 +1228,11 @@ mod tests {
             let report = idx.apply_state(&g, &state, 1);
             assert_eq!(report.epoch, epoch);
             let full = ReachIndex::build_under(&g, brokers, 6, &state, 1);
-            assert_eq!(idx.dist, full.dist, "shards diverge at epoch {epoch}");
-            assert_eq!(idx.live, full.live);
+            assert_eq!(
+                rows_and_lists(&idx),
+                rows_and_lists(&full),
+                "rows diverge at epoch {epoch}"
+            );
             assert!(idx.audit().is_ok());
         }
         assert!(idx.shards_invalidated() > 0);
@@ -1233,7 +1240,7 @@ mod tests {
 
     /// Path 0-1-…-6 with brokers {0, 6} at max_l = 1. Failing vertex 5
     /// dirties {4, 5, 6}, which broker 0's 1-ball {0, 1} misses, and the
-    /// epoch still rebuilds broker 0's shard: the rule is per epoch. The
+    /// epoch still rebuilds broker 0's row: the rule is per epoch. The
     /// next epoch changes nothing and keeps both.
     #[test]
     fn changed_epoch_rebuilds_every_live_shard() {
@@ -1254,15 +1261,19 @@ mod tests {
                 "epoch {epoch}"
             );
             let full = ReachIndex::build_under(&g, &b, 1, &state, 1);
-            assert_eq!(idx.dist, full.dist, "shards diverge at epoch {epoch}");
-            assert_eq!(idx.live, full.live);
+            assert_eq!(
+                rows_and_lists(&idx),
+                rows_and_lists(&full),
+                "rows diverge at epoch {epoch}"
+            );
         }
     }
 
-    /// k = 150 spans three 64-column blocks, so a merge that writes a
-    /// whole block into the wrong columns shows here: rebuilds with a gap
-    /// in every block, checked against a full build, the reference BFS and
-    /// the exact oracle at several thread counts.
+    /// k = 150 spans three 64-lane batches and five 32-position scan
+    /// chunks, so a merge that writes a whole batch into the wrong rows,
+    /// or a scan that mishandles a chunk or its padding, shows here:
+    /// rebuilds with a gap in every batch, checked against a full build,
+    /// the reference BFS and the exact oracle at several thread counts.
     #[test]
     fn multi_block_invalidation_matches_full_rebuild() {
         let mut rng = ChaCha8Rng::seed_from_u64(17);
@@ -1291,8 +1302,11 @@ mod tests {
                 let state = sched.state_at(epoch);
                 idx.apply_state(&g, &state, threads);
                 let full = ReachIndex::build_under(&g, &brokers, 6, &state, threads);
-                assert_eq!(idx.dist, full.dist, "threads {threads}, epoch {epoch}");
-                assert_eq!(idx.live, full.live);
+                assert_eq!(
+                    rows_and_lists(&idx),
+                    rows_and_lists(&full),
+                    "threads {threads}, epoch {epoch}"
+                );
                 let cert = IndexCertificate::new(&g, &idx, roster.len(), 0).audit();
                 assert!(cert.is_ok(), "threads {threads}, epoch {epoch}: {cert:?}");
                 for &(s, t) in &pairs {
@@ -1308,8 +1322,7 @@ mod tests {
     fn certificate_rejects_corrupted_labels() {
         let (g, b) = path5();
         let mut idx = ReachIndex::build(&g, &b, 5, 1);
-        let k = idx.broker_count();
-        idx.dist[2 * k] = 3; // lie about d(broker 1, vertex 2)
+        idx.rows[1] = 3; // lie about d(broker 1, broker 3), truly 2
         let cert = IndexCertificate::new(&g, &idx, 8, 0);
         let rep = cert.audit();
         assert!(!rep.is_ok());

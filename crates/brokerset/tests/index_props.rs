@@ -7,8 +7,8 @@
 //!
 //! The reference oracle below shares no code with the index: it builds
 //! an explicit masked adjacency list and runs a `VecDeque` BFS, so a
-//! bookkeeping error in the shard layout, the 64-lane msbfs kernel, or
-//! the invalidation pass cannot cancel out.
+//! bookkeeping error in the broker rows or lists, the 64-lane msbfs
+//! kernel, or the invalidation pass cannot cancel out.
 
 use brokerset::{exact_query, ReachIndex, StitchAnswer};
 use netgraph::{
@@ -237,8 +237,10 @@ proptest! {
     }
 
     /// Epoch flips through `apply_state` answer exactly like a full
-    /// rebuild at every step of the schedule, and each one either keeps
-    /// every live shard (no dirty vertex) or rebuilds every live shard.
+    /// rebuild at every step of the schedule, encode to the same BRI1
+    /// bytes apart from the header's invalidation count (bytes 17..25)
+    /// and the trailer, and each one either keeps every live broker row
+    /// (no dirty vertex) or rebuilds every live row.
     #[test]
     fn apply_state_matches_full_rebuild(
         edges in arb_edges(26),
@@ -265,6 +267,14 @@ proptest! {
                 state.epoch(), report.kept, report.dirty
             );
             assert_index_matches_oracles(&idx, &g, &brokers, state);
+            let full = ReachIndex::build_under(&g, &brokers, MAX_L, state, 1).to_bytes();
+            let got = idx.to_bytes();
+            let body = |b: &[u8]| [&b[..17], &b[25..b.len() - 8]].concat();
+            prop_assert_eq!(got.len(), full.len());
+            prop_assert!(
+                body(&got) == body(&full),
+                "epoch {}: BRI1 bytes differ from a full rebuild's", state.epoch()
+            );
         }
     }
 
