@@ -13,6 +13,31 @@ run() {
     "$@"
 }
 
+# Print the port that a brokerd started in the background ($2, logging to
+# $1) announces. Readiness is sleep-free: brokerd announces its port
+# immediately after bind (before it builds or loads the index), and the
+# attach client's handshake blocks on the HELLO reply, which arrives
+# exactly when the daemon starts serving. The loop only scrapes the port
+# number out of the log; it never waits out the index.
+brokerd_port() {
+    local log=$1 pid=$2 port="" i
+    for i in $(seq 1 200); do
+        port=$(sed -n 's/^brokerd: listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$log")
+        [ -n "$port" ] && break
+        kill -0 "$pid" 2>/dev/null || { cat "$log" >&2; return 1; }
+        # The port line lands within milliseconds of process start; back
+        # off only if the scheduler is starving us.
+        [ "$i" -gt 20 ] && sleep 0.1
+    done
+    if [ -z "$port" ]; then
+        echo "==> brokerd never reported a listening port:" >&2
+        cat "$log" >&2
+        kill "$pid" 2>/dev/null || true
+        return 1
+    fi
+    echo "$port"
+}
+
 if command -v rustfmt >/dev/null 2>&1; then
     run cargo fmt --check
 else
@@ -130,7 +155,7 @@ if [ -z "$expected" ] || [ "$checksum" != "$expected" ]; then
 fi
 echo "==> quarter-scale perf smoke passed (checksum $checksum)"
 
-# Index bytes gate: the quarter-scale BRI1 blob (247 brokers, so the
+# Index bytes gate: the quarter-scale BRI2 blob (247 brokers, so the
 # query scan crosses several 32-position chunks, where tiny's 21 do not
 # fill one) must hash to the committed BENCH_serve.json quarter
 # index_digest. serve_bench also checks a prefix of its answers against
@@ -149,6 +174,31 @@ if [ -z "$expected" ] || [ "$digest" != "$expected" ]; then
 fi
 echo "==> quarter-scale index bytes pinned (digest $digest)"
 
+# Saved-index gate: the quarter topology goes through its JSON snapshot,
+# broker_cli builds and saves the index from the loaded snapshot, and a
+# brokerd serving that blob answers serve_bench in attach mode, which
+# checks every answer against its own exact (BFS-oracle) evaluation. The
+# digest broker_cli prints must equal the same committed index_digest, so
+# the snapshot's JSON round trip is pinned along with the index bytes.
+saved_dir="$(mktemp -d)"
+echo "==> saved quarter index: snapshot, index build, brokerd --index (in $saved_dir)" >&2
+cargo build --offline --release -q -p broker-net --bin broker_cli
+run ./target/release/broker_cli generate quarter 2014 "$saved_dir/snap.json"
+built=$(./target/release/broker_cli index build "$saved_dir/snap.json" maxsg 247 "$saved_dir/q.bri")
+echo "$built"
+digest=$(echo "$built" | sed -n 's/.*, digest \([0-9a-f]\{16\}\)$/\1/p')
+if [ -z "$expected" ] || [ "$digest" != "$expected" ]; then
+    echo "==> saved quarter index digest $digest, committed BENCH_serve.json says $expected" >&2
+    exit 1
+fi
+./target/release/brokerd --index "$saved_dir/q.bri" --port 0 >"$saved_dir/brokerd.log" 2>&1 &
+brokerd_pid=$!
+port=$(brokerd_port "$saved_dir/brokerd.log" "$brokerd_pid")
+run ./target/release/serve_bench quarter 2014 --queries 2000 --attach "$port"
+wait "$brokerd_pid"
+rm -rf "$saved_dir"
+echo "==> saved quarter index served (digest $digest, port $port)"
+
 # Benchmark gate: the reference benchmark's own tests (perfbench/, its
 # own cargo package). brokerd is built into the same target directory,
 # where the tests look for it. They rebuild the pinned seed-2014
@@ -161,30 +211,11 @@ run env CARGO_TARGET_DIR=.bench_build cargo test --offline --release -q \
 # Serve smoke gate: a real brokerd on an ephemeral port, driven by the
 # serve_bench client in attach mode — 10k queries over TCP whose answer
 # checksum must equal the client's own exact (BFS-oracle) evaluation.
-# Readiness is sleep-free: brokerd announces its port immediately after
-# bind (before the index build), and the attach client's handshake
-# blocks on the HELLO reply, which arrives exactly when the daemon
-# starts serving. The loop below only scrapes the port number out of
-# the log; it never waits out the index build.
 echo "==> serve smoke: brokerd + serve_bench --attach" >&2
 brokerd_log="$(mktemp)"
 ./target/release/brokerd tiny 7 --port 0 >"$brokerd_log" 2>&1 &
 brokerd_pid=$!
-port=""
-for i in $(seq 1 200); do
-    port=$(sed -n 's/^brokerd: listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$brokerd_log")
-    [ -n "$port" ] && break
-    kill -0 "$brokerd_pid" 2>/dev/null || { cat "$brokerd_log" >&2; exit 1; }
-    # The port line lands within milliseconds of process start; back off
-    # only if the scheduler is starving us.
-    [ "$i" -gt 20 ] && sleep 0.1
-done
-if [ -z "$port" ]; then
-    echo "==> brokerd never reported a listening port:" >&2
-    cat "$brokerd_log" >&2
-    kill "$brokerd_pid" 2>/dev/null || true
-    exit 1
-fi
+port=$(brokerd_port "$brokerd_log" "$brokerd_pid")
 run ./target/release/serve_bench tiny 7 --queries 10000 --attach "$port"
 wait "$brokerd_pid"
 rm -f "$brokerd_log"

@@ -6,7 +6,7 @@
 //! ```sh
 //! # Build the index in-process from the scaled synthetic topology:
 //! cargo run --release -p bench --bin brokerd -- tiny 7 --port 0
-//! # Or serve a prebuilt BRI1 blob (see `broker_cli index build`):
+//! # Or serve a prebuilt BRI2 blob (see `broker_cli index build`):
 //! cargo run --release -p bench --bin brokerd -- --index idx.bri --port 7700
 //! ```
 //!

@@ -6,7 +6,7 @@
 //! query stream against it in batch frames, measuring:
 //!
 //! - **cold vs warm index**: time to build the index from the graph vs
-//!   time to restore it from its serialized `BRI1` bytes (plus a served
+//!   time to restore it from its serialized `BRI2` bytes (plus a served
 //!   sweep over each — the answers must be identical);
 //! - **latency/throughput**: per-query and per-batch p50/p99 and QPS at
 //!   server worker counts {1, 2, 4, 0 = all cores};

@@ -564,7 +564,7 @@ fn brokerd_scripted_session_matches_golden() {
     );
 }
 
-/// `brokerd --index PATH` serves a saved BRI1 blob, which it decodes
+/// `brokerd --index PATH` serves a saved BRI2 blob, which it decodes
 /// with `ReachIndex::from_bytes`. A blob built the way brokerd builds
 /// in process (tiny scale, seed 7, the middle budget, MaxSG, max_l 6)
 /// must answer the script exactly as the golden session does, and a

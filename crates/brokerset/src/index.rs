@@ -72,12 +72,12 @@
 //!
 //! ## Persistence
 //!
-//! The `BRI1` format stores the expanded `n × k` table, one row per
-//! vertex: [`ReachIndex::to_bytes`] derives row `v` as
-//! `o(v) + min over S(v)`, and [`ReachIndex::from_bytes`] takes the live
-//! brokers' rows back as `R` and each `S(v)` from the distance-1 entries
-//! at live positions, then rejects a blob that does not re-encode to
-//! itself.
+//! The `BRI2` format stores the index as it is held: the header, the
+//! roster, the fault sets, the `k × k` broker rows without their padding
+//! and each vertex's list `S(v)`. [`ReachIndex::from_bytes`] bounds the
+//! header's counts by the payload before it allocates, pads the rows
+//! back to the stride and runs the [`Validate`] audit, which rejects a
+//! list naming a position out of range, dead or out of order.
 
 use netgraph::msbfs::LANES;
 use netgraph::{
@@ -142,13 +142,13 @@ pub struct InvalidationReport {
     pub reactivated: usize,
 }
 
-/// Decoding errors for the `BRI1` binary index format.
+/// Decoding errors for the `BRI2` binary index format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum IndexCodecError {
     /// Input shorter than the declared contents.
     Truncated,
-    /// Bad magic bytes (not a BRI1 blob).
+    /// Bad magic bytes (not a BRI2 blob).
     BadMagic,
     /// The FNV-1a trailer does not match the payload.
     ChecksumMismatch,
@@ -160,7 +160,7 @@ impl std::fmt::Display for IndexCodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IndexCodecError::Truncated => write!(f, "binary index blob truncated"),
-            IndexCodecError::BadMagic => write!(f, "missing BRI1 magic"),
+            IndexCodecError::BadMagic => write!(f, "missing BRI2 magic"),
             IndexCodecError::ChecksumMismatch => write!(f, "index checksum mismatch"),
             IndexCodecError::Corrupt(what) => write!(f, "corrupt index: {what}"),
         }
@@ -169,7 +169,7 @@ impl std::fmt::Display for IndexCodecError {
 
 impl std::error::Error for IndexCodecError {}
 
-const MAGIC: &[u8; 4] = b"BRI1";
+const MAGIC: &[u8; 4] = b"BRI2";
 
 /// Precomputed hop-bounded reachability index over the dominated
 /// subgraph: the capped `u8` distances between the roster brokers and
@@ -189,7 +189,6 @@ pub struct ReachIndex {
     /// `brokers[j]` forever (fault churn blanks, never relayouts).
     brokers: Vec<NodeId>,
     roster: NodeSet,
-    live: Vec<bool>,
     /// `rows[a * stride + j]` = dominated hops between `brokers[a]` and
     /// `brokers[j]`, capped at `max_l`, [`UNREACH`] beyond. Rows and
     /// columns of brokers out of service and the padding up to the
@@ -245,7 +244,6 @@ impl ReachIndex {
             shards_invalidated: 0,
             brokers: brokers.iter().collect(),
             roster: brokers.clone(),
-            live: Vec::new(),
             rows: Vec::new(),
             starts: Vec::new(),
             lists: Vec::new(),
@@ -253,9 +251,7 @@ impl ReachIndex {
             cut: state.failed_edges().clone(),
             defected: state.failed_brokers().clone(),
         };
-        let alive = idx.alive();
-        idx.live = idx.brokers.iter().map(|&b| alive.contains(b)).collect();
-        idx.rebuild(g, &alive, threads);
+        idx.rebuild(g, &idx.alive(), threads);
         let () = netgraph::counter!("index.builds");
         idx
     }
@@ -282,7 +278,7 @@ impl ReachIndex {
 
     /// Brokers currently in service (live rows).
     pub fn live_brokers(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
+        self.alive().len()
     }
 
     /// Cumulative broker rows invalidated (rebuilt or blanked) by
@@ -441,27 +437,22 @@ impl ReachIndex {
             }
         }
 
+        let before = self.alive();
         self.down = new_down.clone();
         self.cut = new_cut.clone();
         self.defected = new_defected.clone();
         self.epoch = state.epoch();
         let alive = self.alive();
-        let new_live: Vec<bool> = self.brokers.iter().map(|&b| alive.contains(b)).collect();
-        let live_now = new_live.iter().filter(|&&l| l).count();
+        let (live_now, either) = (alive.len(), before.union_len(&alive));
         let changed = !dirty.is_empty();
-        let mut report = InvalidationReport {
+        let report = InvalidationReport {
             epoch: state.epoch(),
             dirty: dirty.len(),
             rebuilt: if changed { live_now } else { 0 },
             kept: if changed { 0 } else { live_now },
-            deactivated: 0,
-            reactivated: 0,
+            deactivated: either - live_now,
+            reactivated: either - before.len(),
         };
-        for (&was, &now) in self.live.iter().zip(&new_live) {
-            report.deactivated += usize::from(was && !now);
-            report.reactivated += usize::from(!was && now);
-        }
-        self.live = new_live;
         if changed {
             self.rebuild(g, &alive, threads);
         }
@@ -505,7 +496,9 @@ impl ReachIndex {
 
         // Each 64-lane batch fills one row per source, lane-major.
         let w = self.stride();
-        let live_js: Vec<usize> = (0..brokers.len()).filter(|&j| self.live[j]).collect();
+        let live_js: Vec<usize> = (0..brokers.len())
+            .filter(|&j| alive.contains(brokers[j]))
+            .collect();
         let sources: Vec<NodeId> = live_js.iter().map(|&j| brokers[j]).collect();
         let batches: Vec<&[NodeId]> = sources.chunks(LANES).collect();
         let view = MaskedView::new(
@@ -536,13 +529,14 @@ impl ReachIndex {
         self.rows = rows;
     }
 
-    /// Serialize into the `BRI1` binary format (little-endian, FNV-1a
-    /// trailer), expanding one table row per vertex. The bytes are a
-    /// pure function of the index contents — bit-identical across
-    /// thread counts and CSR layouts.
+    /// Serialize into the `BRI2` binary format (little-endian, FNV-1a
+    /// trailer): the header, the roster, the fault sets, the unpadded
+    /// broker rows and every vertex's list. The bytes are a pure function
+    /// of the index contents — bit-identical across thread counts and CSR
+    /// layouts.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let k = self.brokers.len();
-        let mut buf = Vec::with_capacity(32 + 5 * k + self.n * k);
+        let (k, w) = (self.brokers.len(), self.stride());
+        let mut buf = Vec::with_capacity(45 + k * (4 + k) + 4 * (self.n + self.lists.len()));
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&(self.n as u32).to_le_bytes());
         buf.extend_from_slice(&(k as u32).to_le_bytes());
@@ -552,36 +546,31 @@ impl ReachIndex {
         for &b in &self.brokers {
             buf.extend_from_slice(&b.0.to_le_bytes());
         }
-        for &l in &self.live {
-            buf.push(u8::from(l));
+        push_list(&mut buf, self.down.len(), self.down.iter().map(|v| v.0));
+        let cut = self.cut.iter().flat_map(|&(a, b)| [a, b]);
+        push_list(&mut buf, self.cut.len(), cut);
+        let defected = self.defected.iter().map(|v| v.0);
+        push_list(&mut buf, self.defected.len(), defected);
+        for a in 0..k {
+            buf.extend_from_slice(&self.rows[a * w..][..k]);
         }
-        push_ids(&mut buf, &self.down);
-        buf.extend_from_slice(&(self.cut.len() as u32).to_le_bytes());
-        for &(a, b) in &self.cut {
-            buf.extend_from_slice(&a.to_le_bytes());
-            buf.extend_from_slice(&b.to_le_bytes());
-        }
-        push_ids(&mut buf, &self.defected);
-        let mut row = vec![UNREACH; k];
         for v in 0..self.n {
-            self.expand_row(NodeId(v as u32), &mut row);
-            buf.extend_from_slice(&row);
+            let list = self.list(NodeId(v as u32));
+            push_list(&mut buf, list.len(), list.iter().copied());
         }
         let digest = fnv1a(buf.iter().copied());
         buf.extend_from_slice(&digest.to_le_bytes());
         buf
     }
 
-    /// Deserialize a `BRI1` blob.
+    /// Deserialize a `BRI2` blob.
     ///
     /// # Errors
     ///
     /// Returns an [`IndexCodecError`] on truncation, bad magic, checksum
     /// mismatch or violated structural invariants; a blob that parses but
     /// fails the [`Validate`] audit is `Corrupt` with the first failed
-    /// invariant's name, and one that does not re-encode to itself (a
-    /// table row that does not derive from the broker rows, or an id
-    /// list out of canonical order) is `Corrupt` too.
+    /// invariant's name.
     pub fn from_bytes(data: &[u8]) -> Result<Self, IndexCodecError> {
         if data.len() < 8 {
             return Err(IndexCodecError::Truncated);
@@ -610,12 +599,13 @@ impl ReachIndex {
         }
         let shards_invalidated = cur.u64()?;
         // Check the header's counts against the payload before allocating
-        // for them: the roster and its live flags take 5·k bytes, the
-        // table n·k.
+        // for them: the roster and the broker rows take k·(4 + k) bytes,
+        // the list counts 4·n.
         let needed = k
-            .checked_mul(5)
-            .zip(n.checked_mul(k))
-            .and_then(|(roster, table)| roster.checked_add(table));
+            .checked_add(4)
+            .and_then(|row| row.checked_mul(k))
+            .zip(n.checked_mul(4))
+            .and_then(|(roster, counts)| roster.checked_add(counts));
         if needed.is_none_or(|needed| needed > cur.data.len()) {
             return Err(IndexCodecError::Truncated);
         }
@@ -630,10 +620,6 @@ impl ReachIndex {
             }
             brokers.push(NodeId(b));
         }
-        let mut live = Vec::with_capacity(k);
-        for _ in 0..k {
-            live.push(cur.u8()? != 0);
-        }
         let down = cur.ids(n, "failed vertex id out of range")?;
         let cut_len = cur.u32()? as usize;
         let mut cut = BTreeSet::new();
@@ -646,27 +632,22 @@ impl ReachIndex {
             cut.insert((a, b));
         }
         let defected = cur.ids(n, "defected broker id out of range")?;
-        let table = cur.bytes(n * k)?;
-        if !cur.data.is_empty() {
-            return Err(IndexCodecError::Corrupt("trailing bytes after the table"));
-        }
-        // R takes the live brokers' table rows; S(v) is a live broker's
-        // own position, else the live positions at distance 1.
         let w = k.div_ceil(CHUNK) * CHUNK;
         let mut rows = vec![UNREACH; k * w];
-        let mut starts = vec![0u32];
+        for a in 0..k {
+            rows[a * w..][..k].copy_from_slice(cur.bytes(k)?);
+        }
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
         let mut lists = Vec::new();
-        for v in 0..n {
-            let row = &table[v * k..][..k];
-            match brokers.binary_search(&NodeId(v as u32)) {
-                Ok(j) if live[j] => {
-                    rows[j * w..][..k].copy_from_slice(row);
-                    lists.push(j as u32);
-                }
-                _ => lists
-                    .extend((0..k as u32).filter(|&j| live[j as usize] && row[j as usize] == 1)),
+        for _ in 0..n {
+            for _ in 0..cur.u32()? {
+                lists.push(cur.u32()?);
             }
             starts.push(lists.len() as u32);
+        }
+        if !cur.data.is_empty() {
+            return Err(IndexCodecError::Corrupt("trailing bytes after the lists"));
         }
         let roster = NodeSet::from_iter_with_capacity(n, brokers.iter().copied());
         let index = ReachIndex {
@@ -676,7 +657,6 @@ impl ReachIndex {
             shards_invalidated,
             brokers,
             roster,
-            live,
             rows,
             starts,
             lists,
@@ -685,17 +665,11 @@ impl ReachIndex {
             defected,
         };
         // The checksum vouches for the bytes, not their meaning: a blob
-        // edited and re-signed must still pass the structural audit and
-        // derive every table row from the broker rows.
-        if let Some(finding) = index.audit().findings.first() {
-            return Err(IndexCodecError::Corrupt(finding.invariant));
+        // edited and re-signed must still pass the structural audit.
+        match index.audit().findings.first() {
+            Some(finding) => Err(IndexCodecError::Corrupt(finding.invariant)),
+            None => Ok(index),
         }
-        if index.to_bytes() != data {
-            return Err(IndexCodecError::Corrupt(
-                "table rows do not derive from the broker rows",
-            ));
-        }
-        Ok(index)
     }
 
     /// [`ReachIndex::to_bytes`] to a file.
@@ -726,15 +700,14 @@ impl ReachIndex {
 }
 
 impl Validate for ReachIndex {
-    /// Structural invariants: dimensions, roster ordering, live flags
-    /// consistent with the fault sets, dead and padding positions blank,
-    /// live self-distances zero, every entry within the hop cap, and no
-    /// broker listed next to a failed vertex.
+    /// Structural invariants: dimensions, roster ordering, lists of
+    /// ascending live positions (a live broker's is itself alone), dead
+    /// and padding positions blank, live self-distances zero, every entry
+    /// within the hop cap, and no broker listed next to a failed vertex.
     fn audit(&self) -> AuditReport {
         let mut rep = AuditReport::new("brokerset::ReachIndex");
         let (k, w) = (self.brokers.len(), self.stride());
         let dims = self.rows.len() == k * w
-            && self.live.len() == k
             && self.starts.len() == self.n + 1
             && self.starts.last() == Some(&(self.lists.len() as u32));
         rep.check("index.dims", dims, || {
@@ -752,13 +725,16 @@ impl Validate for ReachIndex {
         rep.check("index.roster-sorted", sorted, || {
             "roster not strictly ascending in range".to_string()
         });
-        let live_at = |j: usize| j < k && self.live[j];
-        let flag_bad = (0..k)
-            .filter(|&j| {
-                live_at(j)
-                    == (self.defected.contains(self.brokers[j])
-                        || self.down.contains(self.brokers[j]))
-            })
+        let alive = self.alive();
+        let live_at = |j: usize| j < k && alive.contains(self.brokers[j]);
+        let sorted_live = |list: &[u32]| {
+            list.windows(2).all(|p| p[0] < p[1]) && list.iter().all(|&j| live_at(j as usize))
+        };
+        let mut bad_lists = (0..self.n)
+            .filter(|&v| !sorted_live(self.list(NodeId(v as u32))))
+            .count();
+        bad_lists += (0..k)
+            .filter(|&j| live_at(j) && self.list(self.brokers[j]) != [j as u32])
             .count();
         let (mut dead_dirty, mut self_bad, mut over_cap) = (0usize, 0usize, 0usize);
         for a in 0..k {
@@ -776,8 +752,10 @@ impl Validate for ReachIndex {
             .iter()
             .filter(|&v| v.index() < self.n && !self.list(v).is_empty())
             .count();
-        rep.check("index.live-consistent", flag_bad == 0, || {
-            format!("{flag_bad} live flags disagree with the fault sets")
+        rep.check("index.lists", bad_lists == 0, || {
+            format!(
+                "{bad_lists} lists are not ascending live positions, or not a live broker's own"
+            )
         });
         rep.check("index.dead-columns-blank", dead_dirty == 0, || {
             format!("{dead_dirty} broker rows hold distances at dead or padding positions")
@@ -879,7 +857,9 @@ impl Validate for IndexCertificate<'_> {
         }
         let alive = idx.alive();
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let mut picked: Vec<usize> = (0..idx.brokers.len()).filter(|&j| idx.live[j]).collect();
+        let mut picked: Vec<usize> = (0..idx.brokers.len())
+            .filter(|&j| alive.contains(idx.brokers[j]))
+            .collect();
         picked.shuffle(&mut rng);
         picked.truncate(self.columns);
         picked.sort_unstable();
@@ -982,11 +962,10 @@ pub fn answers_checksum<I: IntoIterator<Item = Option<StitchAnswer>>>(answers: I
     }))
 }
 
-fn push_ids(buf: &mut Vec<u8>, set: &NodeSet) {
-    buf.extend_from_slice(&(set.len() as u32).to_le_bytes());
-    for v in set.iter() {
-        buf.extend_from_slice(&v.0.to_le_bytes());
-    }
+/// A `u32` count, then `items` (a cut edge counts once but is two ids).
+fn push_list(buf: &mut Vec<u8>, count: usize, items: impl Iterator<Item = u32>) {
+    buf.extend_from_slice(&(count as u32).to_le_bytes());
+    items.for_each(|x| buf.extend_from_slice(&x.to_le_bytes()));
 }
 
 /// Elements in exactly one of the two sets.
@@ -1052,10 +1031,25 @@ mod tests {
         NodeSet::from_iter_with_capacity(capacity, ids.iter().map(|&i| NodeId(i)))
     }
 
-    /// The state two indexes must share: the broker rows, the `S(v)`
-    /// lists and the live flags.
-    fn rows_and_lists(idx: &ReachIndex) -> (&[u8], &[u32], &[u32], &[bool]) {
-        (&idx.rows, &idx.starts, &idx.lists, &idx.live)
+    /// The state two indexes must share: the broker rows and the `S(v)`
+    /// lists.
+    fn rows_and_lists(idx: &ReachIndex) -> (&[u8], &[u32], &[u32]) {
+        (&idx.rows, &idx.starts, &idx.lists)
+    }
+
+    /// `payload` with its FNV-1a trailer appended.
+    fn signed(mut payload: Vec<u8>) -> Vec<u8> {
+        let digest = fnv1a(payload.iter().copied());
+        payload.extend_from_slice(&digest.to_le_bytes());
+        payload
+    }
+
+    /// `blob` with `blob[at..at + len]` replaced by `with`, re-signed so
+    /// the checksum passes.
+    fn edited(blob: &[u8], at: usize, len: usize, with: &[u8]) -> Vec<u8> {
+        let mut payload = blob[..blob.len() - 8].to_vec();
+        payload.splice(at..at + len, with.iter().copied());
+        signed(payload)
     }
 
     /// Path 0-1-2-3-4 with brokers {1, 3}.
@@ -1158,54 +1152,98 @@ mod tests {
             ReachIndex::from_bytes(&flipped),
             Err(IndexCodecError::ChecksumMismatch)
         );
-        // Edit one byte and re-sign the trailer, so the checksum passes.
-        let edited = |at: usize, byte: u8| {
-            let mut blob = bytes.clone();
-            blob[at] = byte;
-            let payload_len = blob.len() - 8;
-            let digest = fnv1a(blob[..payload_len].iter().copied()).to_le_bytes();
-            blob[payload_len..].copy_from_slice(&digest);
-            blob
-        };
         assert_eq!(
-            ReachIndex::from_bytes(&edited(0, b'X')),
+            ReachIndex::from_bytes(&edited(&bytes, 0, 1, b"X")),
             Err(IndexCodecError::BadMagic)
         );
-        // Broker 1's live flag follows the 25-byte header and the 8-byte
-        // roster. Cleared, every field still parses, but the flag now
-        // contradicts the empty fault sets.
-        assert_eq!(bytes[33], 1);
+        let corrupt = |blob: Vec<u8>| match ReachIndex::from_bytes(&blob) {
+            Err(IndexCodecError::Corrupt(what)) => what,
+            other => panic!("expected a corrupt blob, got {other:?}"),
+        };
+        let word = |x: u32| x.to_le_bytes();
+        // The lists follow the 25-byte header, the 8-byte roster, three
+        // empty id lists and the 2 × 2 rows: each is a count, then roster
+        // positions. Vertex 0 lists [0] at 49, broker 1 [0] at 57 and
+        // vertex 2 [0, 1] at 65.
+        assert_eq!(bytes[45..49], [0, 2, 2, 0]);
+        assert_eq!(bytes[49..57], [1, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(bytes[65..77], [2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]);
+        // A position at k, an unsorted pair, and a live broker listing
+        // another broker.
+        assert_eq!(corrupt(edited(&bytes, 53, 4, &word(2))), "index.lists");
+        let swapped = [word(1), word(0)].concat();
+        assert_eq!(corrupt(edited(&bytes, 69, 8, &swapped)), "index.lists");
+        assert_eq!(corrupt(edited(&bytes, 61, 4, &word(1))), "index.lists");
+        // With broker 3 defected and vertex 0 failed, position 1 is dead:
+        // vertex 2 lists [0] at 69 and the failed vertex lists nothing at
+        // 57. Listing the dead position, or giving the failed vertex a
+        // list, is corrupt.
+        let mut sched = FaultSchedule::new(5);
+        sched.fail_broker(1, NodeId(3));
+        sched.fail_node(1, NodeId(0));
+        sched.set_horizon(2);
+        let faulted = ReachIndex::build_under(&g, &b, 5, &sched.state_at(1), 1).to_bytes();
         assert_eq!(
-            ReachIndex::from_bytes(&edited(33, 0)),
-            Err(IndexCodecError::Corrupt("index.live-consistent"))
+            faulted[57..77],
+            [[0; 4], word(1), word(0), word(1), word(0)].concat()
         );
-        // The table starts after the live flags and three empty id lists
-        // (byte 47); vertex 2's row [1, 1] sits at 51. As [2, 1] every
-        // entry is within the cap, but vertex 2 still lists broker 3, so
-        // the row re-derives as [3, 1].
-        assert_eq!(bytes[51..53], [1, 1]);
+        assert_eq!(corrupt(edited(&faulted, 73, 4, &word(1))), "index.lists");
+        let listed = [word(1), word(0)].concat();
         assert_eq!(
-            ReachIndex::from_bytes(&edited(51, 2)),
-            Err(IndexCodecError::Corrupt(
-                "table rows do not derive from the broker rows"
-            ))
+            corrupt(edited(&faulted, 57, 4, &listed)),
+            "index.down-rows-blank"
         );
-        // A header claiming u32::MAX brokers with no roster behind it must
-        // be rejected before anything is sized by that count.
-        let mut huge_roster = MAGIC.to_vec();
-        huge_roster.extend_from_slice(&10u32.to_le_bytes()); // n
-        huge_roster.extend_from_slice(&u32::MAX.to_le_bytes()); // k
-        huge_roster.extend_from_slice(&0u32.to_le_bytes()); // epoch
-        huge_roster.push(6); // max_l
-        huge_roster.extend_from_slice(&0u64.to_le_bytes()); // invalidations
-        let digest = fnv1a(huge_roster.iter().copied()).to_le_bytes();
-        huge_roster.extend_from_slice(&digest);
+        // A header claiming u32::MAX brokers, or u32::MAX vertices, with
+        // nothing behind it must be rejected before anything is sized by
+        // that count.
+        let header = |n: u32, k: u32| {
+            let mut blob = MAGIC.to_vec();
+            blob.extend_from_slice(&n.to_le_bytes());
+            blob.extend_from_slice(&k.to_le_bytes());
+            blob.extend_from_slice(&0u32.to_le_bytes()); // epoch
+            blob.push(6); // max_l
+            blob.extend_from_slice(&0u64.to_le_bytes()); // invalidations
+            blob
+        };
+        let huge_roster = signed(header(10, u32::MAX));
         assert_eq!(huge_roster.len(), 33);
         assert_eq!(
             ReachIndex::from_bytes(&huge_roster),
             Err(IndexCodecError::Truncated)
         );
+        // Three empty id lists follow the header.
+        let huge_n = signed([header(u32::MAX, 0), vec![0; 12]].concat());
+        assert_eq!(huge_n.len(), 45);
+        assert_eq!(
+            ReachIndex::from_bytes(&huge_n),
+            Err(IndexCodecError::Truncated)
+        );
         assert!(IndexCodecError::Corrupt("x").to_string().contains("x"));
+    }
+
+    /// Every single-byte change of a blob's payload, re-signed so the
+    /// checksum passes, decodes without panicking, and an edit that
+    /// decodes re-encodes to itself: BRI2 holds no derived byte.
+    #[test]
+    fn every_resigned_byte_edit_decodes_without_panicking() {
+        let (g, b) = path5();
+        let bytes = ReachIndex::build(&g, &b, 5, 1).to_bytes();
+        let (mut ok, mut err) = (0usize, 0usize);
+        for at in 0..bytes.len() - 8 {
+            for byte in (0..=u8::MAX).filter(|&x| x != bytes[at]) {
+                let blob = edited(&bytes, at, 1, &[byte]);
+                let decoded = std::panic::catch_unwind(|| ReachIndex::from_bytes(&blob));
+                match decoded {
+                    Err(_) => panic!("byte {at} set to {byte} panicked the decoder"),
+                    Ok(Ok(idx)) => {
+                        assert_eq!(idx.to_bytes(), blob, "byte {at} set to {byte}");
+                        ok += 1;
+                    }
+                    Ok(Err(_)) => err += 1,
+                }
+            }
+        }
+        assert!(ok > 0 && err > 0, "{ok} edits decoded, {err} did not");
     }
 
     #[test]

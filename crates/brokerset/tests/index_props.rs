@@ -237,7 +237,7 @@ proptest! {
     }
 
     /// Epoch flips through `apply_state` answer exactly like a full
-    /// rebuild at every step of the schedule, encode to the same BRI1
+    /// rebuild at every step of the schedule, encode to the same BRI2
     /// bytes apart from the header's invalidation count (bytes 17..25)
     /// and the trailer, and each one either keeps every live broker row
     /// (no dirty vertex) or rebuilds every live row.
@@ -273,12 +273,12 @@ proptest! {
             prop_assert_eq!(got.len(), full.len());
             prop_assert!(
                 body(&got) == body(&full),
-                "epoch {}: BRI1 bytes differ from a full rebuild's", state.epoch()
+                "epoch {}: BRI2 bytes differ from a full rebuild's", state.epoch()
             );
         }
     }
 
-    /// The BRI1 codec never panics and never silently accepts damage:
+    /// The BRI2 codec never panics and never silently accepts damage:
     /// any truncation or byte flip of a valid blob must decode to an
     /// error (the FNV trailer is checked before anything else).
     #[test]

@@ -26,6 +26,9 @@ impl Validate for Internet {
     ///    peering/transit edges never touch an IXP vertex, and when IXPs
     ///    exist the attachment fraction of ASes stays within the loose
     ///    generator tolerance `(0, 1]`.
+    ///
+    /// The later checks index by vertex id, so the audit stops after a
+    /// failure of 1 or 2, or after a relationship naming a non-edge.
     fn audit(&self) -> AuditReport {
         let mut rep = AuditReport::new("topology::Internet");
         let g = self.graph();
@@ -38,6 +41,9 @@ impl Validate for Internet {
         rep.check("meta.names-cover", self.names().len() == n, || {
             format!("{} names for {} vertices", self.names().len(), n)
         });
+        if !rep.is_ok() {
+            return rep;
+        }
 
         // Relationships: one per edge, each backed by a real edge.
         let rels = self.relationships();
@@ -51,6 +57,9 @@ impl Validate for Internet {
         rep.check("rels.edges-exist", phantom == 0, || {
             format!("{phantom} relationships reference non-edges")
         });
+        if phantom > 0 {
+            return rep;
+        }
 
         // Tier-1 clique.
         let t1 = self.tier1s();

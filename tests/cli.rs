@@ -152,7 +152,7 @@ fn index_build_and_query_roundtrip() {
         .status
         .success());
 
-    // build: precompute and persist the BRI1 blob.
+    // build: precompute and persist the BRI2 blob.
     let out = cli()
         .args([
             "index",
@@ -323,5 +323,38 @@ fn cli_rejects_bad_input() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad epoch count"));
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A snapshot that fails its audit is an error line and exit 2 from every
+/// command that loads it, never a panic.
+#[test]
+fn cli_rejects_a_damaged_snapshot() {
+    let dir = tmpdir("cli_rejects_a_damaged_snapshot");
+    let snap = dir.join("n.json");
+    assert!(cli()
+        .args(["generate", "tiny", "7", snap.to_str().unwrap()])
+        .output()
+        .unwrap()
+        .status
+        .success());
+    // Point the last adjacency entry, which ends the neighbor array, at a
+    // vertex that does not exist.
+    let text = std::fs::read_to_string(&snap).unwrap();
+    let end = text.find("],\"edges\"").expect("neighbor array");
+    let start = text[..end].rfind(',').unwrap() + 1;
+    std::fs::write(&snap, format!("{}999999{}", &text[..start], &text[end..])).unwrap();
+    for args in [vec!["stats"], vec!["select", "maxsg", "20"], vec!["audit"]] {
+        let mut full = vec![args[0], snap.to_str().unwrap()];
+        full.extend(&args[1..]);
+        let out = cli().args(&full).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains("error:") && err.contains("csr.ids-in-range"),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
