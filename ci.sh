@@ -38,11 +38,9 @@ brokerd_port() {
     echo "$port"
 }
 
-if command -v rustfmt >/dev/null 2>&1; then
-    run cargo fmt --check
-else
-    echo "==> rustfmt unavailable, skipping format check" >&2
-fi
+# Required: a missing rustfmt fails the gate instead of leaving the tree's
+# formatting unchecked.
+run cargo fmt --check
 
 # Required: clippy carries R1, R3, R4, R6-R8, R13 and R14, so a missing
 # clippy fails the gate instead of leaving those rules unchecked.

@@ -68,7 +68,7 @@ fn main() {
         schedule.events().len(),
         schedule.groups().len(),
         defectors.len(),
-        ixp.map_or("absent".to_string(), |v| net.name(v).to_string()),
+        ixp.map_or("absent".to_string(), |v| net.name(v)),
     );
 
     let trace = chaos_trace_threaded(

@@ -98,7 +98,7 @@ fn main() {
             keep.insert(v);
         }
         let (sub, map) = g.induced_subgraph(&keep);
-        let labels: Vec<String> = map.iter().map(|&v| net.name(v).to_string()).collect();
+        let labels: Vec<String> = map.iter().map(|&v| net.name(v)).collect();
         let ixps = NodeSet::from_iter_with_capacity(
             sub.node_count(),
             sub.nodes()

@@ -4,9 +4,10 @@
 //! `fig2a` and the other recorded bins at tiny scale / fixed seed must
 //! reproduce the checked-in records under `tests/goldens/` number for
 //! number (floats at relative 1e-9), and the stdout of `table2`,
-//! `table4`, `fig5bc`, `ext_resilience` and `ext_sla` must match byte
-//! for byte, so an accidental semantic change to the evaluators fails
-//! loudly instead of silently shifting results. Regenerate after an *intentional* change
+//! `table4`, `table5`, `fig5bc`, `ext_resilience` and `ext_sla` must
+//! match byte for byte, so an accidental semantic change to the
+//! evaluators fails loudly instead of silently shifting results.
+//! Regenerate after an *intentional* change
 //! with `UPDATE_GOLDENS=1 cargo test -p bench --test bins golden`.
 
 use std::io::BufRead;
@@ -48,7 +49,6 @@ smoke!(
     "alliance size vs coverage"
 );
 smoke!(table3_runs, env!("CARGO_BIN_EXE_table3"), "ASes with IXPs");
-smoke!(table5_runs, env!("CARGO_BIN_EXE_table5"), "rank");
 smoke!(fig1_runs, env!("CARGO_BIN_EXE_fig1"), "scale-free");
 smoke!(fig3_runs, env!("CARGO_BIN_EXE_fig3"), "corr(PR, gain)");
 smoke!(fig4_runs, env!("CARGO_BIN_EXE_fig4"), "core (p99+)");
@@ -258,6 +258,12 @@ fn check_stdout_golden(bin: &str, id: &str) {
 #[test]
 fn table2_stdout_matches_golden() {
     check_stdout_golden(env!("CARGO_BIN_EXE_table2"), "table2");
+}
+
+#[test]
+fn table5_stdout_matches_golden() {
+    // Broker ranking: pins the vertex names a topology derives.
+    check_stdout_golden(env!("CARGO_BIN_EXE_table5"), "table5");
 }
 
 #[test]

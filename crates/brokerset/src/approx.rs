@@ -21,8 +21,8 @@
 //! Root evaluation needs one BFS tree per candidate root
 //! (`O(x*(|V| + |E|))` total, the practical face of the paper's
 //! `O(k²(|V| log |V| + |E|))` bound). [`ApproxConfig::root_sample`]
-//! optionally evaluates a random subset of roots — the ablation bench
-//! quantifies the loss.
+//! optionally evaluates a random subset of roots; `fig2b` samples 24
+//! above tiny scale to keep full-scale runs tractable.
 
 use crate::greedy::greedy_mcb;
 use crate::problem::BrokerSelection;
@@ -49,7 +49,9 @@ pub struct ApproxConfig {
     /// coverage brokers (repeating the stitching pass so the guarantee
     /// is preserved). The paper's Algorithm 2 does not do this — it was
     /// tuned for a topology where stitches consume the reserve — so the
-    /// strict variant (`false`) is kept for the ablation bench.
+    /// strict variant (`false`, [`ApproxConfig::strict`]) is kept: the
+    /// tests check its budget bound and Theorem 3's ratio against the
+    /// exact optimum, and that re-investment never covers less.
     pub reinvest: bool,
 }
 

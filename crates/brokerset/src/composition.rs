@@ -51,6 +51,7 @@ pub struct RankedBroker {
 
 /// Brokers with rank/kind/name metadata, in selection order.
 pub fn ranked_brokers(net: &Internet, sel: &BrokerSelection) -> Vec<RankedBroker> {
+    let mut names = net.names();
     sel.order()
         .iter()
         .enumerate()
@@ -59,7 +60,7 @@ pub fn ranked_brokers(net: &Internet, sel: &BrokerSelection) -> Vec<RankedBroker
             node: v,
             kind: net.kind(v),
             category: net.kind(v).category_label().to_string(),
-            name: net.name(v).to_string(),
+            name: std::mem::take(&mut names[v.index()]),
             degree: net.graph().degree(v),
         })
         .collect()

@@ -8,8 +8,7 @@
 //!   topology almost every iteration re-evaluates only a handful of
 //!   candidates, giving effectively `O(k(|V| + |E|))` behaviour.
 //! - [`greedy_mcb_naive`] — the textbook `O(k |V| · deg)` scan, kept as
-//!   the ablation baseline (`bench/ablation`) and as the oracle for the
-//!   equivalence property test.
+//!   the oracle for the equivalence property test.
 //!
 //! Both return identical selections (ties broken by ascending node id).
 //!

@@ -702,8 +702,9 @@ impl ReachIndex {
 impl Validate for ReachIndex {
     /// Structural invariants: dimensions, roster ordering, lists of
     /// ascending live positions (a live broker's is itself alone), dead
-    /// and padding positions blank, live self-distances zero, every entry
-    /// within the hop cap, and no broker listed next to a failed vertex.
+    /// and padding positions blank, live self-distances zero, rows
+    /// symmetric (the traversal is undirected), every entry within the
+    /// hop cap, and no broker listed next to a failed vertex.
     fn audit(&self) -> AuditReport {
         let mut rep = AuditReport::new("brokerset::ReachIndex");
         let (k, w) = (self.brokers.len(), self.stride());
@@ -736,10 +737,11 @@ impl Validate for ReachIndex {
         bad_lists += (0..k)
             .filter(|&j| live_at(j) && self.list(self.brokers[j]) != [j as u32])
             .count();
-        let (mut dead_dirty, mut self_bad, mut over_cap) = (0usize, 0usize, 0usize);
+        let (mut dead_dirty, mut self_bad, mut asymmetric, mut over_cap) = (0, 0, 0, 0);
         for a in 0..k {
             let row = &self.rows[a * w..][..w];
             self_bad += usize::from(live_at(a) && row[a] != 0);
+            asymmetric += (0..a).filter(|&j| row[j] != self.rows[j * w + a]).count();
             let stale = |(j, &d): (usize, &u8)| d != UNREACH && !(live_at(a) && live_at(j));
             dead_dirty += usize::from(row.iter().enumerate().any(stale));
             over_cap += row
@@ -762,6 +764,9 @@ impl Validate for ReachIndex {
         });
         rep.check("index.self-distance-zero", self_bad == 0, || {
             format!("{self_bad} live brokers lack a zero self-distance")
+        });
+        rep.check("index.rows-symmetric", asymmetric == 0, || {
+            format!("{asymmetric} broker pairs hold a different distance in each direction")
         });
         rep.check("index.hop-cap", over_cap == 0, || {
             format!("{over_cap} entries exceed the {} hop cap", self.max_l)
@@ -1174,6 +1179,9 @@ mod tests {
         let swapped = [word(1), word(0)].concat();
         assert_eq!(corrupt(edited(&bytes, 69, 8, &swapped)), "index.lists");
         assert_eq!(corrupt(edited(&bytes, 61, 4, &word(1))), "index.lists");
+        // Byte 46 is R[0][1] = d(1, 3) = 2: a 3 there, beside R[1][0] = 2,
+        // would answer (1, 3) via broker 3 and (0, 4) with 4 + 1 hops.
+        assert_eq!(corrupt(edited(&bytes, 46, 1, &[3])), "index.rows-symmetric");
         // With broker 3 defected and vertex 0 failed, position 1 is dead:
         // vertex 2 lists [0] at 69 and the failed vertex lists nothing at
         // 57. Listing the dead position, or giving the failed vertex a
@@ -1360,7 +1368,10 @@ mod tests {
     fn certificate_rejects_corrupted_labels() {
         let (g, b) = path5();
         let mut idx = ReachIndex::build(&g, &b, 5, 1);
-        idx.rows[1] = 3; // lie about d(broker 1, broker 3), truly 2
+        // Lie about d(broker 1, broker 3), truly 2, in both rows so the
+        // structural audit passes and only the reference BFS can tell.
+        let w = idx.stride();
+        (idx.rows[1], idx.rows[w]) = (3, 3);
         let cert = IndexCertificate::new(&g, &idx, 8, 0);
         let rep = cert.audit();
         assert!(!rep.is_ok());

@@ -100,8 +100,8 @@ pub fn nash_bargain(cfg: &BargainConfig) -> Result<BargainOutcome, String> {
 }
 
 /// Numeric solution via golden-section on the Nash product, for use with
-/// perturbed utility shapes; exposed mainly for the ablation bench and
-/// the equivalence test against [`nash_bargain`].
+/// perturbed utility shapes; the equivalence test checks it against
+/// [`nash_bargain`], and the bargain certificate audits its outcome.
 pub fn nash_bargain_numeric(cfg: &BargainConfig) -> Result<BargainOutcome, String> {
     cfg.validate()?;
     let m = cfg.max_employees() as f64;

@@ -291,12 +291,11 @@ mod tests {
             NodeKind::Access,
             NodeKind::Access,
         ];
-        let names = (0..5).map(|i| format!("n{i}")).collect();
         let rels = edges
             .iter()
             .map(|&(a, b, r)| (NodeId(a), NodeId(b), r))
             .collect();
-        PolicyGraph::new(&Internet::from_parts(g, kinds, names, rels))
+        PolicyGraph::new(&Internet::from_parts(g, kinds, rels))
     }
 
     #[test]
@@ -388,7 +387,6 @@ mod tests {
         let net = Internet::from_parts(
             g,
             vec![NodeKind::Access, NodeKind::Access, NodeKind::Ixp],
-            (0..3).map(|i| format!("n{i}")).collect(),
             edges
                 .iter()
                 .map(|&(a, b, r)| (NodeId(a), NodeId(b), r))

@@ -32,7 +32,7 @@ impl CapacityModel {
     pub fn sample(net: &Internet, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut capacity = BTreeMap::new();
-        for &(a, b, _) in net.relationships() {
+        for (a, b, _) in net.relationships() {
             let base = match std::cmp::min(net.tier(a), net.tier(b)) {
                 Tier::One => 100.0,
                 Tier::Two => 40.0,
@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn capacity_model_covers_edges_and_tiers() {
         let (net, _, cap) = setup();
-        for &(a, b, _) in net.relationships().iter().take(300) {
+        for (a, b, _) in net.relationships().take(300) {
             let c = cap.edge_capacity(a, b).unwrap();
             assert!(c > 0.0);
             assert_eq!(cap.edge_capacity(b, a), Some(c));

@@ -40,7 +40,7 @@ impl PolicyGraph {
     pub fn new(net: &Internet) -> Self {
         let n = net.graph().node_count();
         let mut adj: Vec<Vec<(NodeId, EdgeClass)>> = vec![Vec::new(); n];
-        for &(a, b, rel) in net.relationships() {
+        for (a, b, rel) in net.relationships() {
             let (cls_ab, cls_ba) = classify(net, a, b, rel);
             adj[a.index()].push((b, cls_ab));
             adj[b.index()].push((a, cls_ba));
@@ -50,7 +50,7 @@ impl PolicyGraph {
         }
         PolicyGraph {
             adj,
-            edges: net.relationships().len(),
+            edges: net.graph().edge_count(),
         }
     }
 
@@ -218,7 +218,7 @@ mod tests {
         let pg = PolicyGraph::new(&net);
         assert_eq!(pg.node_count(), net.graph().node_count());
         assert_eq!(pg.edge_count(), net.graph().edge_count());
-        for &(a, b, rel) in net.relationships().iter().take(500) {
+        for (a, b, rel) in net.relationships().take(500) {
             let ab = pg.class(a, b).unwrap();
             let ba = pg.class(b, a).unwrap();
             match rel {

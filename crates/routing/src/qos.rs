@@ -30,9 +30,9 @@ impl LatencyModel {
     /// lognormal-ish jitter.
     pub fn sample(net: &Internet, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut latencies = Vec::with_capacity(net.relationships().len());
+        let mut latencies = Vec::with_capacity(net.graph().edge_count());
         let mut index = std::collections::BTreeMap::new();
-        for (i, &(a, b, _)) in net.relationships().iter().enumerate() {
+        for (i, (a, b, _)) in net.relationships().enumerate() {
             let base = (tier_base(net.tier(a)) + tier_base(net.tier(b))) / 2.0;
             // Mild multiplicative jitter: U[0.6, 1.8].
             let jitter: f64 = rng.gen_range(0.6..1.8);
@@ -83,7 +83,7 @@ mod tests {
     fn model_covers_every_edge() {
         let net = net();
         let model = LatencyModel::sample(&net, 1);
-        for &(a, b, _) in net.relationships() {
+        for (a, b, _) in net.relationships() {
             let l = model.edge_latency(a, b).unwrap();
             assert!(l > 0.0 && l < 100.0);
             assert_eq!(model.edge_latency(b, a), Some(l)); // symmetric
@@ -103,7 +103,7 @@ mod tests {
         let net = net();
         let a = LatencyModel::sample(&net, 7);
         let b = LatencyModel::sample(&net, 7);
-        let (x, y, _) = net.relationships()[0];
+        let (x, y, _) = net.relationships().next().unwrap();
         assert_eq!(a.edge_latency(x, y), b.edge_latency(x, y));
         let c = LatencyModel::sample(&net, 8);
         // Different seed gives different jitter (overwhelmingly likely).
@@ -114,7 +114,7 @@ mod tests {
     fn path_latency_sums_hops() {
         let net = net();
         let model = LatencyModel::sample(&net, 3);
-        let (a, b, _) = net.relationships()[0];
+        let (a, b, _) = net.relationships().next().unwrap();
         let single = model.path_latency(&[a, b]).unwrap();
         assert_eq!(model.edge_latency(a, b), Some(single));
         assert!(model.path_latency(&[]).is_none());
@@ -127,7 +127,7 @@ mod tests {
         let model = LatencyModel::sample(&net, 4);
         // Average over tier1-tier1 edges vs stub edges.
         let (mut core_sum, mut core_n, mut edge_sum, mut edge_n) = (0.0, 0, 0.0, 0);
-        for &(a, b, _) in net.relationships() {
+        for (a, b, _) in net.relationships() {
             let l = model.edge_latency(a, b).unwrap();
             match (net.tier(a), net.tier(b)) {
                 (Tier::One, Tier::One) => {

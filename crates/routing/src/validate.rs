@@ -116,12 +116,11 @@ mod tests {
             NodeKind::Access,
             NodeKind::Ixp,
         ];
-        let names = (0..6).map(|i| format!("n{i}")).collect();
         let rels = edges
             .iter()
             .map(|&(a, b, r)| (NodeId(a), NodeId(b), r))
             .collect();
-        PolicyGraph::new(&Internet::from_parts(g, kinds, names, rels))
+        PolicyGraph::new(&Internet::from_parts(g, kinds, rels))
     }
 
     #[test]

@@ -246,12 +246,11 @@ mod tests {
             NodeKind::Access,
             NodeKind::Ixp,
         ];
-        let names = (0..6).map(|i| format!("n{i}")).collect();
         let rels = edges
             .iter()
             .map(|&(a, b, r)| (NodeId(a), NodeId(b), r))
             .collect();
-        let net = Internet::from_parts(g, kinds, names, rels);
+        let net = Internet::from_parts(g, kinds, rels);
         let pg = PolicyGraph::new(&net);
         (net, pg)
     }

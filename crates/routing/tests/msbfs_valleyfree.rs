@@ -33,8 +33,7 @@ fn policy_graph(n: u32, raw: &[(u32, u32, u8)]) -> PolicyGraph {
     }
     let g: Graph = b.build();
     let kinds = vec![NodeKind::Access; n as usize];
-    let names = (0..n).map(|i| format!("as{i}")).collect();
-    let net = Internet::from_parts(g, kinds, names, rels);
+    let net = Internet::from_parts(g, kinds, rels);
     PolicyGraph::new(&net)
 }
 

@@ -1,26 +1,21 @@
-//! Topology evolution: historical snapshots and forward growth models.
+//! Topology evolution: a seeded forward growth model.
 //!
 //! The broker set is a long-lived institution, but the Internet grows by
-//! tens of ASes a day. This module covers both directions of time:
-//!
-//! - **Backward**: [`historical_snapshot`] derives an earlier Internet
-//!   from a generated one by removing the most recently attached stubs —
-//!   under preferential attachment the stub tail is exactly where growth
-//!   happens — so a selection made at epoch 0 can be re-evaluated
-//!   against the topology at epoch E.
-//! - **Forward**: [`evolve`] runs a seeded multi-epoch growth model (IXP
-//!   births, membership growth, remote-peering attachments, AS births
-//!   and deaths, relationship flips) and emits a serializable
-//!   [`DeltaStream`] of epochal [`TopoDelta`]s. The stream lowers to
-//!   [`netgraph::GraphDelta`]s for the traversal/selection machinery and
-//!   [`materialize`]s back into a full [`Internet`] with consistent
-//!   relationship metadata. Epochs share the integer timeline of
-//!   [`netgraph::fault::FaultSchedule`], so churn and faults compose
-//!   into one schedule: e.g. an IXP born at epoch 3 can go dark at
-//!   epoch 5 and recover at epoch 8.
+//! tens of ASes a day. [`evolve`] runs a seeded multi-epoch growth model
+//! (IXP births, membership growth, remote-peering attachments, AS births
+//! and deaths, relationship flips) and emits a serializable
+//! [`DeltaStream`] of epochal [`TopoDelta`]s. The stream lowers to
+//! [`netgraph::GraphDelta`]s for the traversal/selection machinery and
+//! [`materialize`]s back into a full [`Internet`] with consistent
+//! relationship metadata. Births append ids and deaths keep theirs, so
+//! a selection made at epoch 0 lies in the id space of every later
+//! epoch. Epochs share the integer timeline of
+//! [`netgraph::fault::FaultSchedule`], so churn and faults compose into
+//! one schedule: e.g. an IXP born at epoch 3 can go dark at epoch 5 and
+//! recover at epoch 8.
 
 use crate::taxonomy::{NodeKind, Relationship};
-use crate::{Internet, InternetConfig};
+use crate::Internet;
 use netgraph::{GraphDelta, NodeId, NodeSet};
 use rand::Rng;
 use rand::SeedableRng;
@@ -28,71 +23,8 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Derive the historical snapshot of `net` containing all providers and
-/// IXPs but only the first `stub_fraction` of its stub ASes.
-///
-/// Returns the smaller topology plus the mapping from its vertex ids to
-/// `net`'s ids (needed to compare selections across snapshots).
-///
-/// # Panics
-///
-/// Panics unless `0 < stub_fraction <= 1`, or if `net`'s vertex layout
-/// does not match `cfg` (the snapshot relies on the generator's
-/// providers-stubs-IXPs id ordering).
-pub fn historical_snapshot(
-    net: &Internet,
-    cfg: &InternetConfig,
-    stub_fraction: f64,
-) -> (Internet, Vec<NodeId>) {
-    assert!(
-        stub_fraction > 0.0 && stub_fraction <= 1.0,
-        "stub_fraction must be in (0, 1], got {stub_fraction}"
-    );
-    let g = net.graph();
-    assert_eq!(
-        g.node_count(),
-        cfg.node_count(),
-        "topology does not match the config"
-    );
-    let n_providers = cfg.n_tier1 + cfg.n_transit;
-    let keep_stubs = ((cfg.n_stub as f64 * stub_fraction).round() as usize).max(1);
-
-    let mut keep = NodeSet::new(g.node_count());
-    for v in g.nodes() {
-        let idx = v.index();
-        let is_provider = idx < n_providers;
-        let is_kept_stub = idx >= n_providers && idx < n_providers + keep_stubs;
-        let is_ixp = net.kind(v) == NodeKind::Ixp;
-        if is_provider || is_kept_stub || is_ixp {
-            keep.insert(v);
-        }
-    }
-
-    let (sub, map) = g.induced_subgraph(&keep);
-    // Remap metadata and relationships.
-    let mut new_of_old = vec![u32::MAX; g.node_count()];
-    for (new, &old) in map.iter().enumerate() {
-        new_of_old[old.index()] = new as u32;
-    }
-    let kinds = map.iter().map(|&v| net.kind(v)).collect();
-    let names = map.iter().map(|&v| net.name(v).to_string()).collect();
-    let rels = net
-        .relationships()
-        .iter()
-        .filter(|&&(a, b, _)| keep.contains(a) && keep.contains(b))
-        .map(|&(a, b, rel)| {
-            (
-                NodeId(new_of_old[a.index()]),
-                NodeId(new_of_old[b.index()]),
-                rel,
-            )
-        })
-        .collect();
-    (Internet::from_parts(sub, kinds, names, rels), map)
-}
-
 /// Jaccard similarity of two broker sets expressed in a *common* id
-/// space (use the snapshot map to translate).
+/// space.
 pub fn selection_jaccard(a: &NodeSet, b: &NodeSet) -> f64 {
     let union = a.union_len(b);
     if union == 0 {
@@ -110,16 +42,11 @@ pub fn selection_jaccard(a: &NodeSet, b: &NodeSet) -> f64 {
 pub enum DeltaOp {
     /// A new exchange point appears (vertex appended after the current
     /// id range).
-    IxpBirth {
-        /// Display name of the new IXP.
-        name: String,
-    },
+    IxpBirth,
     /// A new AS appears and buys transit from `providers`.
     AsBirth {
         /// Stub category of the newcomer.
         kind: NodeKind,
-        /// Display name of the new AS.
-        name: String,
         /// Providers the newcomer multihomes to (it is their customer).
         providers: Vec<NodeId>,
     },
@@ -243,7 +170,7 @@ impl DeltaStream {
         self.deltas
             .iter()
             .flat_map(|d| &d.ops)
-            .filter(|op| matches!(op, DeltaOp::IxpBirth { .. } | DeltaOp::AsBirth { .. }))
+            .filter(|op| matches!(op, DeltaOp::IxpBirth | DeltaOp::AsBirth { .. }))
             .count()
     }
 
@@ -268,7 +195,7 @@ impl DeltaStream {
             let mut d = GraphDelta::new(running);
             for op in &td.ops {
                 match op {
-                    DeltaOp::IxpBirth { .. } => {
+                    DeltaOp::IxpBirth => {
                         d.add_node();
                     }
                     DeltaOp::AsBirth { providers, .. } => {
@@ -294,8 +221,8 @@ impl DeltaStream {
 
 impl crate::Validate for DeltaStream {
     /// Structural invariants a JSON-loaded stream must satisfy before
-    /// replay: strictly increasing epochs, vertex references inside the
-    /// running id range, non-empty names for newborns.
+    /// replay: strictly increasing epochs and vertex references inside
+    /// the running id range.
     fn audit(&self) -> crate::AuditReport {
         let mut rep = crate::AuditReport::new("topology::DeltaStream");
         rep.check(
@@ -305,19 +232,12 @@ impl crate::Validate for DeltaStream {
         );
         let mut running = self.base_nodes;
         let mut refs_ok = true;
-        let mut names_ok = true;
         for td in &self.deltas {
             for op in &td.ops {
                 let mut check = |v: NodeId| refs_ok &= v.index() < running;
                 match op {
-                    DeltaOp::IxpBirth { name } => {
-                        names_ok &= !name.is_empty();
-                        running += 1;
-                    }
-                    DeltaOp::AsBirth {
-                        name, providers, ..
-                    } => {
-                        names_ok &= !name.is_empty();
+                    DeltaOp::IxpBirth => running += 1,
+                    DeltaOp::AsBirth { providers, .. } => {
                         for &p in providers {
                             check(p);
                         }
@@ -340,9 +260,6 @@ impl crate::Validate for DeltaStream {
         }
         rep.check("evolve.refs-in-range", refs_ok, || {
             "an op references a vertex outside the running id range".into()
-        });
-        rep.check("evolve.names-nonempty", names_ok, || {
-            "a newborn vertex has an empty name".into()
         });
         rep
     }
@@ -396,10 +313,9 @@ struct Evolver {
     rng: ChaCha8Rng,
     kinds: Vec<NodeKind>,
     alive: Vec<bool>,
-    /// Normalized existing edge keys (kept exact so the generator never
-    /// proposes a duplicate edge with a conflicting relationship).
-    edges: BTreeSet<(u32, u32)>,
-    /// Relationship per existing edge, oriented for the normalized key.
+    /// Relationship per existing edge, oriented for the normalized key;
+    /// its keys are the edge set, kept exact so the generator never
+    /// proposes a duplicate edge with a conflicting relationship.
     rels: BTreeMap<(u32, u32), Relationship>,
     /// Adjacency, maintained so deaths can withdraw incident links
     /// without scanning the whole edge set.
@@ -411,7 +327,7 @@ struct Evolver {
 impl Evolver {
     fn link(&mut self, a: u32, b: u32, rel_from_a: Relationship) -> bool {
         let key = if a < b { (a, b) } else { (b, a) };
-        if a == b || !self.edges.insert(key) {
+        if a == b || self.rels.contains_key(&key) {
             return false;
         }
         let oriented = if a < b {
@@ -474,14 +390,9 @@ pub fn evolve(net: &Internet, cfg: &GrowthConfig, seed: u64) -> DeltaStream {
         rng: ChaCha8Rng::seed_from_u64(seed),
         kinds: net.kinds().to_vec(),
         alive: vec![true; g.node_count()],
-        edges: g
-            .edges()
-            .map(|(u, v)| netgraph::undirected_key(u, v))
-            .collect(),
         rels: net
             .relationships()
-            .iter()
-            .map(|&(a, b, rel)| ((a.0, b.0), rel))
+            .map(|(a, b, rel)| ((a.0, b.0), rel))
             .collect(),
         adj: BTreeMap::new(),
         ixps: Vec::new(),
@@ -503,12 +414,10 @@ pub fn evolve(net: &Internet, cfg: &GrowthConfig, seed: u64) -> DeltaStream {
         let mut ops: Vec<DeltaOp> = Vec::new();
 
         // IXP births, each seeded with founding memberships.
-        for i in 0..cfg.ixp_births {
+        for _ in 0..cfg.ixp_births {
             let ixp = ev.born(NodeKind::Ixp);
             ev.ixps.push(ixp);
-            ops.push(DeltaOp::IxpBirth {
-                name: format!("IXP-e{epoch}-{i}"),
-            });
+            ops.push(DeltaOp::IxpBirth);
             for _ in 0..cfg.new_ixp_members {
                 let Some(m) = ev.pick_as() else { continue };
                 if ev.link(m, ixp, Relationship::IxpMembership) {
@@ -522,7 +431,7 @@ pub fn evolve(net: &Internet, cfg: &GrowthConfig, seed: u64) -> DeltaStream {
 
         // Stub AS births, multihomed to 1-3 providers (the same
         // multihoming shape as the base generator).
-        for i in 0..cfg.as_births {
+        for _ in 0..cfg.as_births {
             let roll: f64 = ev.rng.gen_range(0.0..1.0);
             let kind = if roll < 0.05 {
                 NodeKind::Content
@@ -542,11 +451,7 @@ pub fn evolve(net: &Internet, cfg: &GrowthConfig, seed: u64) -> DeltaStream {
                     providers.push(NodeId(p));
                 }
             }
-            ops.push(DeltaOp::AsBirth {
-                kind,
-                name: format!("AS-e{epoch}-{i}"),
-                providers,
-            });
+            ops.push(DeltaOp::AsBirth { kind, providers });
         }
 
         // Stub deaths: withdraw every incident link, tombstone the id.
@@ -556,7 +461,6 @@ pub fn evolve(net: &Internet, cfg: &GrowthConfig, seed: u64) -> DeltaStream {
             if let Some(nbs) = ev.adj.remove(&v) {
                 for u in nbs {
                     let key = if v < u { (v, u) } else { (u, v) };
-                    ev.edges.remove(&key);
                     ev.rels.remove(&key);
                     if let Some(back) = ev.adj.get_mut(&u) {
                         back.remove(&v);
@@ -631,7 +535,8 @@ pub fn evolve(net: &Internet, cfg: &GrowthConfig, seed: u64) -> DeltaStream {
 }
 
 /// Replay `stream` over `net` and assemble the final-epoch [`Internet`]:
-/// graph, kinds, names and relationship list all evolved consistently.
+/// graph, kinds and relationships evolved consistently. Newborn vertices
+/// are named like every other vertex, by kind and ordinal.
 /// `Internet::from_parts` re-asserts that the relationship list covers
 /// the evolved edge set exactly, so a bookkeeping divergence between the
 /// graph lowering and the relationship replay panics here.
@@ -653,11 +558,9 @@ pub fn materialize(net: &Internet, stream: &DeltaStream) -> Internet {
     }
 
     let mut kinds = net.kinds().to_vec();
-    let mut names = net.names().to_vec();
     let mut rels: BTreeMap<(u32, u32), Relationship> = net
         .relationships()
-        .iter()
-        .map(|&(a, b, rel)| ((a.0, b.0), rel))
+        .map(|(a, b, rel)| ((a.0, b.0), rel))
         .collect();
     let insert = |rels: &mut BTreeMap<(u32, u32), Relationship>,
                   a: u32,
@@ -673,18 +576,10 @@ pub fn materialize(net: &Internet, stream: &DeltaStream) -> Internet {
     for td in stream.deltas() {
         for op in &td.ops {
             match op {
-                DeltaOp::IxpBirth { name } => {
-                    kinds.push(NodeKind::Ixp);
-                    names.push(name.clone());
-                }
-                DeltaOp::AsBirth {
-                    kind,
-                    name,
-                    providers,
-                } => {
+                DeltaOp::IxpBirth => kinds.push(NodeKind::Ixp),
+                DeltaOp::AsBirth { kind, providers } => {
                     let v = kinds.len() as u32;
                     kinds.push(*kind);
-                    names.push(name.clone());
                     for p in providers {
                         insert(&mut rels, v, p.0, Relationship::CustomerOfB);
                     }
@@ -709,7 +604,7 @@ pub fn materialize(net: &Internet, stream: &DeltaStream) -> Internet {
         .into_iter()
         .map(|((a, b), rel)| (NodeId(a), NodeId(b), rel))
         .collect();
-    Internet::from_parts(graph, kinds, names, rels)
+    Internet::from_parts(graph, kinds, rels)
 }
 
 #[cfg(test)]
@@ -717,69 +612,24 @@ mod tests {
     use super::*;
     use crate::{InternetConfig, Scale};
 
-    fn setup() -> (Internet, InternetConfig) {
-        let cfg = InternetConfig::scaled(Scale::Tiny);
-        (cfg.generate(77), cfg)
-    }
-
-    #[test]
-    fn snapshot_keeps_providers_and_ixps() {
-        let (net, cfg) = setup();
-        let (old, map) = historical_snapshot(&net, &cfg, 0.5);
-        // All providers and IXPs survive; about half the stubs.
-        let kinds = old.kinds();
-        let providers = kinds
-            .iter()
-            .filter(|k| matches!(k, NodeKind::Tier1 | NodeKind::Transit))
-            .count();
-        assert_eq!(providers, cfg.n_tier1 + cfg.n_transit);
-        assert_eq!(old.ixp_count(), cfg.n_ixp);
-        let stubs = old.as_count() - providers;
-        assert!(
-            (stubs as f64 - cfg.n_stub as f64 * 0.5).abs() < 2.0,
-            "stub count {stubs}"
-        );
-        // Map is consistent.
-        for (new, &oldid) in map.iter().enumerate() {
-            assert_eq!(old.kind(NodeId(new as u32)), net.kind(oldid));
-            assert_eq!(old.name(NodeId(new as u32)), net.name(oldid));
-        }
-    }
-
-    #[test]
-    fn snapshot_relationships_consistent() {
-        let (net, cfg) = setup();
-        let (old, map) = historical_snapshot(&net, &cfg, 0.6);
-        assert_eq!(old.relationships().len(), old.graph().edge_count());
-        // Spot-check relationship preservation through the map.
-        for &(a, b, rel) in old.relationships().iter().take(200) {
-            let (oa, ob) = (map[a.index()], map[b.index()]);
-            assert_eq!(net.relationship(oa, ob), Some(rel));
-        }
-    }
-
-    #[test]
-    fn full_fraction_is_identity() {
-        let (net, cfg) = setup();
-        let (old, _) = historical_snapshot(&net, &cfg, 1.0);
-        assert_eq!(old.graph().node_count(), net.graph().node_count());
-        assert_eq!(old.graph().edge_count(), net.graph().edge_count());
+    fn setup() -> Internet {
+        InternetConfig::scaled(Scale::Tiny).generate(77)
     }
 
     #[test]
     fn selection_stable_across_growth() {
-        // Brokers selected on the historical snapshot should overlap
-        // heavily with brokers selected on the grown topology: the core
-        // doesn't churn.
-        let (net, cfg) = setup();
-        let (old, map) = historical_snapshot(&net, &cfg, 0.7);
+        // Brokers selected at epoch 0 should overlap heavily with brokers
+        // selected after 12 epochs of growth: the core doesn't churn.
+        // Births append ids, so the old selection needs no translation.
+        let net = setup();
+        let cfg = GrowthConfig::calibrated(12, net.graph().node_count());
+        let grown = materialize(&net, &evolve(&net, &cfg, 5));
         let k = 40;
-        let now = brokerset::max_subgraph_greedy(net.graph(), k);
-        let then = brokerset::max_subgraph_greedy(old.graph(), k);
-        // Translate the old selection into current ids.
+        let then = brokerset::max_subgraph_greedy(net.graph(), k);
+        let now = brokerset::max_subgraph_greedy(grown.graph(), k);
         let then_now = NodeSet::from_iter_with_capacity(
-            net.graph().node_count(),
-            then.order().iter().map(|&v| map[v.index()]),
+            grown.graph().node_count(),
+            then.order().iter().copied(),
         );
         let j = selection_jaccard(now.brokers(), &then_now);
         assert!(j > 0.5, "alliance churn too high: jaccard {j}");
@@ -796,16 +646,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "stub_fraction")]
-    fn zero_fraction_rejected() {
-        let (net, cfg) = setup();
-        historical_snapshot(&net, &cfg, 0.0);
-    }
-
-    #[test]
     fn evolve_is_deterministic_and_valid() {
         use crate::Validate;
-        let (net, _) = setup();
+        let net = setup();
         let cfg = GrowthConfig::calibrated(6, net.graph().node_count());
         let a = evolve(&net, &cfg, 11);
         let b = evolve(&net, &cfg, 11);
@@ -821,7 +664,7 @@ mod tests {
 
     #[test]
     fn lower_and_materialize_agree() {
-        let (net, _) = setup();
+        let net = setup();
         let cfg = GrowthConfig::calibrated(5, net.graph().node_count());
         let stream = evolve(&net, &cfg, 3);
         // Fold the lowered graph deltas.
@@ -835,24 +678,19 @@ mod tests {
         let evolved = materialize(&net, &stream);
         assert_eq!(evolved.graph(), &g);
         assert_eq!(evolved.kinds().len(), g.node_count());
-        assert_eq!(evolved.relationships().len(), g.edge_count());
-        // Newborn vertices carry epoch-stamped names and correct kinds.
-        let newborn = stream
-            .deltas()
-            .iter()
-            .flat_map(|d| &d.ops)
-            .find_map(|op| match op {
-                DeltaOp::IxpBirth { name } => Some(name.clone()),
-                _ => None,
-            })
-            .expect("an IXP was born");
-        assert!(evolved.names().contains(&newborn));
-        assert!(newborn.starts_with("IXP-e"), "epoch-numbered name");
+        assert_eq!(evolved.relationships().count(), g.edge_count());
+        // The base keeps its names, and the first newborn, epoch 1's
+        // IXP, is named as the 13th IXP of tiny's 12.
+        let names = evolved.names();
+        let base = net.graph().node_count();
+        assert_eq!(names[..base], net.names());
+        assert_eq!(stream.deltas()[0].ops[0], DeltaOp::IxpBirth);
+        assert_eq!(names[base], "IXP Stockholm");
     }
 
     #[test]
     fn deaths_tombstone_in_place() {
-        let (net, _) = setup();
+        let net = setup();
         let mut cfg = GrowthConfig::calibrated(3, net.graph().node_count());
         cfg.as_deaths = 10;
         let stream = evolve(&net, &cfg, 9);
@@ -875,7 +713,7 @@ mod tests {
 
     #[test]
     fn stream_json_round_trips_bit_identically() {
-        let (net, _) = setup();
+        let net = setup();
         let cfg = GrowthConfig::calibrated(4, net.graph().node_count());
         let stream = evolve(&net, &cfg, 21);
         let json = serde_json::to_string(&stream).expect("serialize");
@@ -915,16 +753,6 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.invariant == "evolve.epochs-strictly-increasing"));
-        // Empty newborn name.
-        let mut bad = s;
-        bad.deltas[0].ops.push(DeltaOp::IxpBirth {
-            name: String::new(),
-        });
-        assert!(bad
-            .audit()
-            .findings
-            .iter()
-            .any(|f| f.invariant == "evolve.names-nonempty"));
     }
 
     #[test]

@@ -94,9 +94,9 @@ impl GeoModel {
     ///
     /// Tier-1s are spread round-robin (weighted toward NA/EU/Asia, like
     /// the real backbone market); every other AS inherits the region of
-    /// its first provider with probability `coherence`, otherwise draws
-    /// a weighted-random region; IXPs take the plurality region of their
-    /// members.
+    /// its smallest-id provider with probability `coherence`, otherwise
+    /// draws a weighted-random region; IXPs take the plurality region of
+    /// their members.
     pub fn assign(net: &Internet, coherence: f64, seed: u64) -> GeoModel {
         assert!(
             (0.0..=1.0).contains(&coherence),
@@ -141,18 +141,23 @@ impl GeoModel {
         }
         // Providers first (ids ascend the hierarchy by construction of
         // the generator; for hand-built topologies the fallback draw
-        // covers orphans).
-        let provider_of = |v: NodeId| -> Option<NodeId> {
-            g.neighbors(v)
-                .iter()
-                .copied()
-                .find(|&u| net.relationship(v, u) == Some(Relationship::CustomerOfB))
-        };
+        // covers orphans). An AS inherits from its smallest-id provider:
+        // the relationships ascend by `(a, b)`, so that is the first one
+        // seen.
+        let mut provider_of = vec![None::<NodeId>; n];
+        for (a, b, rel) in net.relationships() {
+            let (customer, provider) = match rel {
+                Relationship::CustomerOfB => (a, b),
+                Relationship::ProviderOfB => (b, a),
+                Relationship::Peer | Relationship::IxpMembership => continue,
+            };
+            provider_of[customer.index()].get_or_insert(provider);
+        }
         for v in g.nodes() {
             if regions[v.index()].is_some() || net.kind(v) == NodeKind::Ixp {
                 continue;
             }
-            let inherited = provider_of(v)
+            let inherited = provider_of[v.index()]
                 .and_then(|p| regions[p.index()])
                 .filter(|_| rng.gen_range(0.0..1.0) < coherence);
             regions[v.index()] = Some(inherited.unwrap_or_else(|| draw(&mut rng)));
@@ -214,10 +219,9 @@ mod tests {
         // With high coherence most customer->provider edges connect
         // same-region endpoints.
         let (net, geo) = model();
-        let g = net.graph();
         let mut same = 0usize;
         let mut total = 0usize;
-        for &(a, b, rel) in net.relationships() {
+        for (a, b, rel) in net.relationships() {
             if rel == Relationship::CustomerOfB || rel == Relationship::ProviderOfB {
                 total += 1;
                 if geo.region(a) == geo.region(b) {
@@ -225,7 +229,6 @@ mod tests {
                 }
             }
         }
-        let _ = g;
         let frac = same as f64 / total as f64;
         assert!(frac > 0.6, "hierarchy same-region fraction {frac}");
     }

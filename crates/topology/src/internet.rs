@@ -210,31 +210,35 @@ impl InternetConfig {
 /// membership links, mirroring the paper's treatment of IXPs as
 /// independent vertices ("ASesWithIXPs"); [`Internet::without_ixps`]
 /// recovers the AS-only view.
+///
+/// Only what cannot be derived is stored: the graph, each vertex's kind
+/// and one business relationship per edge. Names are a function of the
+/// kind and the vertex's ordinal within it ([`Internet::name`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Internet {
     graph: Graph,
     kinds: Vec<NodeKind>,
-    names: Vec<String>,
-    /// Canonical relationship list: `(a, b, rel)` with `a < b`, sorted.
-    rels: Vec<(NodeId, NodeId, Relationship)>,
+    /// One relationship per edge, in [`Graph::edges`] order (ascending
+    /// `(a, b)` with `a < b`), oriented from the smaller endpoint.
+    rels: Vec<Relationship>,
 }
 
 impl Internet {
     /// Assemble an `Internet` from parts (used by the generator, snapshot
-    /// loading, and hand-built test fixtures).
+    /// loading, and hand-built test fixtures). `rels` may list an edge in
+    /// either orientation, and more than once if the copies agree.
     ///
     /// # Panics
     ///
-    /// Panics if the metadata lengths disagree with the graph, or if the
-    /// relationship list doesn't cover the edge set exactly.
+    /// Panics if the kinds disagree with the graph, if an edge carries
+    /// conflicting relationships, or if the relationship list doesn't
+    /// cover the edge set exactly.
     pub fn from_parts(
         graph: Graph,
         kinds: Vec<NodeKind>,
-        names: Vec<String>,
         mut rels: Vec<(NodeId, NodeId, Relationship)>,
     ) -> Self {
         assert_eq!(graph.node_count(), kinds.len(), "kinds length mismatch");
-        assert_eq!(graph.node_count(), names.len(), "names length mismatch");
         for r in rels.iter_mut() {
             if r.0 > r.1 {
                 *r = (r.1, r.0, r.2.reversed());
@@ -254,16 +258,15 @@ impl Internet {
             }
         }
         rels.dedup_by_key(|r| (r.0, r.1));
-        assert_eq!(
-            rels.len(),
-            graph.edge_count(),
+        assert!(
+            rels.len() == graph.edge_count()
+                && rels.iter().zip(graph.edges()).all(|(r, e)| (r.0, r.1) == e),
             "relationship list must cover every edge exactly once"
         );
         Internet {
             graph,
             kinds,
-            names,
-            rels,
+            rels: rels.into_iter().map(|r| r.2).collect(),
         }
     }
 
@@ -282,14 +285,30 @@ impl Internet {
         &self.kinds
     }
 
-    /// Human-readable name of vertex `v`.
-    pub fn name(&self, v: NodeId) -> &str {
-        &self.names[v.index()]
+    /// Human-readable name of vertex `v`: its kind and its ordinal among
+    /// the vertices of that kind, e.g. `Transit-3`, or `IXP Frankfurt`
+    /// for the first IXP. `O(v)`; [`Internet::names`] names every
+    /// vertex in one pass.
+    pub fn name(&self, v: NodeId) -> String {
+        let kind = self.kind(v);
+        let ordinal = self.kinds[..v.index()]
+            .iter()
+            .filter(|&&k| k == kind)
+            .count();
+        name_of(kind, ordinal)
     }
 
     /// All vertex names, indexed by id.
-    pub fn names(&self) -> &[String] {
-        &self.names
+    pub fn names(&self) -> Vec<String> {
+        let mut seen = [0usize; 6];
+        self.kinds
+            .iter()
+            .map(|&kind| {
+                let ordinal = &mut seen[kind as usize];
+                *ordinal += 1;
+                name_of(kind, *ordinal - 1)
+            })
+            .collect()
     }
 
     /// Tier of vertex `v` (see [`Tier::of`]).
@@ -326,23 +345,19 @@ impl Internet {
             .collect()
     }
 
-    /// The canonical `(a, b, rel)` edge-relationship list (`a < b`,
-    /// sorted ascending).
-    pub fn relationships(&self) -> &[(NodeId, NodeId, Relationship)] {
-        &self.rels
+    /// Every edge with its relationship, as `(a, b, rel)` with `a < b`,
+    /// ascending; `CustomerOfB` means `a` is `b`'s customer.
+    pub fn relationships(&self) -> impl Iterator<Item = (NodeId, NodeId, Relationship)> + '_ {
+        self.graph
+            .edges()
+            .zip(&self.rels)
+            .map(|((a, b), &rel)| (a, b, rel))
     }
 
-    /// Relationship on edge `{u, v}`, oriented from `u`'s perspective
-    /// (e.g. `CustomerOfB` means `u` is `v`'s customer). `None` if the
-    /// edge doesn't exist.
-    pub fn relationship(&self, u: NodeId, v: NodeId) -> Option<Relationship> {
-        let (a, b, flip) = if u < v { (u, v, false) } else { (v, u, true) };
-        let idx = self
-            .rels
-            .binary_search_by_key(&(a, b), |r| (r.0, r.1))
-            .ok()?;
-        let rel = self.rels[idx].2;
-        Some(if flip { rel.reversed() } else { rel })
+    /// The stored relationship codes, one per edge in
+    /// [`Graph::edges`] order; the audit checks their count.
+    pub(crate) fn relationship_codes(&self) -> &[Relationship] {
+        &self.rels
     }
 
     /// The AS-only subgraph ("ASesWithoutIXPs" in Table 3) and the map
@@ -363,8 +378,23 @@ impl Internet {
     }
 }
 
-/// City names for synthetic IXP labels, roughly by real-world exchange
-/// size so that "IXP Frankfurt" ends up big.
+/// The name of the `ordinal`-th vertex of `kind`.
+fn name_of(kind: NodeKind, ordinal: usize) -> String {
+    match kind {
+        NodeKind::Tier1 => format!("Backbone-{ordinal}"),
+        NodeKind::Transit => format!("Transit-{ordinal}"),
+        NodeKind::Access => format!("Access-{ordinal}"),
+        NodeKind::Content => format!("Content-{ordinal}"),
+        NodeKind::Enterprise => format!("Enterprise-{ordinal}"),
+        NodeKind::Ixp => match IXP_CITIES.get(ordinal) {
+            Some(city) => format!("IXP {city}"),
+            None => format!("IXP-{ordinal}"),
+        },
+    }
+}
+
+/// City names for the first IXPs, roughly by real-world exchange size
+/// so that "IXP Frankfurt" ends up big.
 const IXP_CITIES: &[&str] = &[
     "Frankfurt",
     "Amsterdam",
@@ -449,42 +479,25 @@ impl<'a, R: Rng> Generator<'a, R> {
         let n_as = cfg.as_count();
         let n_total = cfg.node_count();
 
-        // --- Kinds and names -------------------------------------------------
-        let mut kinds = Vec::with_capacity(n_total);
-        let mut names = Vec::with_capacity(n_total);
-        for i in 0..cfg.n_tier1 {
-            kinds.push(NodeKind::Tier1);
-            names.push(format!("Backbone-{i}"));
-        }
-        for i in 0..cfg.n_transit {
-            kinds.push(NodeKind::Transit);
-            names.push(format!("Transit-{i}"));
-        }
+        // --- Kinds -----------------------------------------------------------
+        // Content stubs first, then enterprise, then access; the isolated
+        // tail is carved from access stubs.
         let n_isolated = ((cfg.n_stub as f64 * cfg.frac_isolated) as usize) & !1; // even
         let n_content = (cfg.n_stub as f64 * cfg.frac_content) as usize;
         let n_enterprise = (cfg.n_stub as f64 * cfg.frac_enterprise) as usize;
-        for i in 0..cfg.n_stub {
-            // Content first, then enterprise, then access; the isolated
-            // tail is carved from access stubs.
+        let mut kinds = Vec::with_capacity(n_total);
+        kinds.extend(std::iter::repeat_n(NodeKind::Tier1, cfg.n_tier1));
+        kinds.extend(std::iter::repeat_n(NodeKind::Transit, cfg.n_transit));
+        kinds.extend((0..cfg.n_stub).map(|i| {
             if i < n_content {
-                kinds.push(NodeKind::Content);
-                names.push(format!("Content-{i}"));
+                NodeKind::Content
             } else if i < n_content + n_enterprise {
-                kinds.push(NodeKind::Enterprise);
-                names.push(format!("Enterprise-{}", i - n_content));
+                NodeKind::Enterprise
             } else {
-                kinds.push(NodeKind::Access);
-                names.push(format!("Access-{}", i - n_content - n_enterprise));
+                NodeKind::Access
             }
-        }
-        for i in 0..cfg.n_ixp {
-            kinds.push(NodeKind::Ixp);
-            let city = IXP_CITIES.get(i).copied();
-            names.push(match city {
-                Some(c) => format!("IXP {c}"),
-                None => format!("IXP-{i}"),
-            });
-        }
+        }));
+        kinds.extend(std::iter::repeat_n(NodeKind::Ixp, cfg.n_ixp));
 
         // --- Tier-1 clique ----------------------------------------------------
         for a in 0..cfg.n_tier1 {
@@ -658,7 +671,7 @@ impl<'a, R: Rng> Generator<'a, R> {
         for &(u, v, _) in &self.rels {
             b.add_edge(u, v);
         }
-        Internet::from_parts(b.build(), kinds, names, self.rels)
+        Internet::from_parts(b.build(), kinds, self.rels)
     }
 }
 
@@ -713,7 +726,7 @@ mod tests {
         let a = cfg.generate(99);
         let b = cfg.generate(99);
         assert_eq!(a.graph(), b.graph());
-        assert_eq!(a.relationships(), b.relationships());
+        assert!(a.relationships().eq(b.relationships()));
         let c = cfg.generate(100);
         assert_ne!(a.graph(), c.graph());
     }
@@ -724,10 +737,9 @@ mod tests {
         let net = cfg.generate(3);
         let as_edges = net
             .relationships()
-            .iter()
             .filter(|r| r.2 != Relationship::IxpMembership)
             .count();
-        let memberships = net.relationships().len() - as_edges;
+        let memberships = net.graph().edge_count() - as_edges;
         assert!(
             (as_edges as f64) > 0.95 * cfg.target_as_edges as f64,
             "as_edges {as_edges} vs target {}",
@@ -741,23 +753,9 @@ mod tests {
     }
 
     #[test]
-    fn relationship_lookup_orientation() {
-        let net = tiny();
-        // Find some customer->provider edge.
-        let (a, b, rel) = *net
-            .relationships()
-            .iter()
-            .find(|r| matches!(r.2, Relationship::CustomerOfB | Relationship::ProviderOfB))
-            .expect("hierarchy edges exist");
-        assert_eq!(net.relationship(a, b), Some(rel));
-        assert_eq!(net.relationship(b, a), Some(rel.reversed()));
-        assert_eq!(net.relationship(a, a), None);
-    }
-
-    #[test]
     fn ixps_only_have_membership_edges() {
         let net = tiny();
-        for &(u, v, rel) in net.relationships() {
+        for (u, v, rel) in net.relationships() {
             let touches_ixp = net.kind(u) == NodeKind::Ixp || net.kind(v) == NodeKind::Ixp;
             if touches_ixp {
                 assert_eq!(rel, Relationship::IxpMembership, "edge ({u}, {v})");
@@ -815,7 +813,6 @@ mod tests {
         // Membership edges vanish, AS-AS edges survive.
         let as_edges = net
             .relationships()
-            .iter()
             .filter(|r| r.2 != Relationship::IxpMembership)
             .count();
         assert_eq!(g.edge_count(), as_edges);
@@ -838,19 +835,27 @@ mod tests {
         );
     }
 
+    /// `name` counts one vertex's ordinal, `names` every ordinal in one
+    /// pass: they agree. Tiny has 5 tier-1s, 80 transit, 50 content, 150
+    /// enterprise and 800 access stubs, then 12 IXPs.
     #[test]
-    fn names_reflect_kinds() {
+    fn names_count_within_each_kind() {
         let net = tiny();
+        let names = net.names();
+        assert_eq!(names.len(), net.graph().node_count());
         for v in net.graph().nodes() {
-            let name = net.name(v);
-            match net.kind(v) {
-                NodeKind::Tier1 => assert!(name.starts_with("Backbone")),
-                NodeKind::Transit => assert!(name.starts_with("Transit")),
-                NodeKind::Content => assert!(name.starts_with("Content")),
-                NodeKind::Enterprise => assert!(name.starts_with("Enterprise")),
-                NodeKind::Access => assert!(name.starts_with("Access")),
-                NodeKind::Ixp => assert!(name.starts_with("IXP")),
-            }
+            assert_eq!(net.name(v), names[v.index()]);
+        }
+        for (v, name) in [
+            (0, "Backbone-0"),
+            (84, "Transit-79"),
+            (85, "Content-0"),
+            (135, "Enterprise-0"),
+            (285, "Access-0"),
+            (1085, "IXP Frankfurt"),
+            (1096, "IXP Paris"),
+        ] {
+            assert_eq!(names[v], name);
         }
     }
 
@@ -861,13 +866,12 @@ mod tests {
         let net = Internet::from_parts(
             g,
             vec![NodeKind::Access, NodeKind::Transit],
-            vec!["a".into(), "t".into()],
             vec![(NodeId(1), NodeId(0), Relationship::ProviderOfB)],
         );
         // Stored as (0, 1, CustomerOfB): 0 is customer of 1.
         assert_eq!(
-            net.relationship(NodeId(0), NodeId(1)),
-            Some(Relationship::CustomerOfB)
+            net.relationships().collect::<Vec<_>>(),
+            [(NodeId(0), NodeId(1), Relationship::CustomerOfB)]
         );
     }
 
@@ -879,7 +883,6 @@ mod tests {
         Internet::from_parts(
             g,
             vec![NodeKind::Access, NodeKind::Transit],
-            vec!["a".into(), "t".into()],
             vec![
                 (NodeId(0), NodeId(1), Relationship::CustomerOfB),
                 (NodeId(0), NodeId(1), Relationship::Peer),
@@ -895,8 +898,24 @@ mod tests {
         Internet::from_parts(
             g,
             vec![NodeKind::Access; 3],
-            vec!["a".into(), "b".into(), "c".into()],
             vec![(NodeId(0), NodeId(1), Relationship::Peer)],
+        );
+    }
+
+    /// The right count is not enough: a list naming the non-edge (0, 2)
+    /// in place of (1, 2) does not cover the path 0–1–2.
+    #[test]
+    #[should_panic(expected = "relationship list")]
+    fn from_parts_rejects_a_non_edge() {
+        use netgraph::graph::from_edges;
+        let g = from_edges(3, [(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))]);
+        Internet::from_parts(
+            g,
+            vec![NodeKind::Access; 3],
+            vec![
+                (NodeId(0), NodeId(1), Relationship::Peer),
+                (NodeId(0), NodeId(2), Relationship::Peer),
+            ],
         );
     }
 }

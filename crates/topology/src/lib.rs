@@ -49,8 +49,7 @@ pub mod taxonomy;
 pub mod validate;
 
 pub use evolve::{
-    evolve, historical_snapshot, materialize, selection_jaccard, DeltaOp, DeltaStream,
-    GrowthConfig, TopoDelta,
+    evolve, materialize, selection_jaccard, DeltaOp, DeltaStream, GrowthConfig, TopoDelta,
 };
 pub use geo::{GeoModel, Region};
 pub use internet::{Internet, InternetConfig, Scale};

@@ -45,7 +45,7 @@ impl TopologyStats {
 
         let mut as_as = 0usize;
         let mut as_ixp = 0usize;
-        for &(_, _, rel) in net.relationships() {
+        for (_, _, rel) in net.relationships() {
             if rel == Relationship::IxpMembership {
                 as_ixp += 1;
             } else {
@@ -176,7 +176,6 @@ mod tests {
                 NodeKind::Ixp,
                 NodeKind::Access,
             ],
-            (0..4).map(|i| format!("n{i}")).collect(),
             vec![
                 (NodeId(0), NodeId(1), Relationship::Peer),
                 (NodeId(0), NodeId(2), Relationship::IxpMembership),
@@ -212,7 +211,6 @@ mod tests {
                 NodeKind::Ixp,
                 NodeKind::Ixp,
             ],
-            (0..4).map(|i| format!("n{i}")).collect(),
             vec![
                 (NodeId(0), NodeId(2), Relationship::IxpMembership),
                 (NodeId(1), NodeId(2), Relationship::IxpMembership),

@@ -15,9 +15,8 @@ impl Validate for Internet {
     /// Audit the topology invariants:
     ///
     /// 1. the underlying graph passes the deep CSR audit;
-    /// 2. metadata vectors cover every vertex;
-    /// 3. every relationship `(a, b)` is an actual graph edge, exactly
-    ///    one relationship per edge;
+    /// 2. the kinds cover every vertex;
+    /// 3. one relationship is stored per edge;
     /// 4. tier-1 ASes form a clique (full-mesh peering, Section 2);
     /// 5. the customer→provider digraph is acyclic (Gao–Rexford
     ///    hierarchy — a provider cycle would let valley-free paths
@@ -27,8 +26,8 @@ impl Validate for Internet {
     ///    exist the attachment fraction of ASes stays within the loose
     ///    generator tolerance `(0, 1]`.
     ///
-    /// The later checks index by vertex id, so the audit stops after a
-    /// failure of 1 or 2, or after a relationship naming a non-edge.
+    /// The later checks index by vertex id and pair each edge with its
+    /// relationship, so the audit stops after a failure of 1, 2 or 3.
     fn audit(&self) -> AuditReport {
         let mut rep = AuditReport::new("topology::Internet");
         let g = self.graph();
@@ -38,26 +37,11 @@ impl Validate for Internet {
         rep.check("meta.kinds-cover", self.kinds().len() == n, || {
             format!("{} kinds for {} vertices", self.kinds().len(), n)
         });
-        rep.check("meta.names-cover", self.names().len() == n, || {
-            format!("{} names for {} vertices", self.names().len(), n)
+        let codes = self.relationship_codes().len();
+        rep.check("rels.cover-edges", codes == g.edge_count(), || {
+            format!("{codes} relationships for {} edges", g.edge_count())
         });
         if !rep.is_ok() {
-            return rep;
-        }
-
-        // Relationships: one per edge, each backed by a real edge.
-        let rels = self.relationships();
-        rep.check("rels.cover-edges", rels.len() == g.edge_count(), || {
-            format!("{} relationships for {} edges", rels.len(), g.edge_count())
-        });
-        let phantom = rels
-            .iter()
-            .filter(|&&(a, b, _)| a.index() >= n || b.index() >= n || !g.has_edge(a, b))
-            .count();
-        rep.check("rels.edges-exist", phantom == 0, || {
-            format!("{phantom} relationships reference non-edges")
-        });
-        if phantom > 0 {
             return rep;
         }
 
@@ -86,16 +70,14 @@ impl Validate for Internet {
         // transit digraph (edge customer -> provider).
         let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut indeg = vec![0u32; n];
-        for &(a, b, rel) in rels {
+        for (a, b, rel) in self.relationships() {
             let (c, p) = match rel {
                 Relationship::CustomerOfB => (a, b),
                 Relationship::ProviderOfB => (b, a),
                 Relationship::Peer | Relationship::IxpMembership => continue,
             };
-            if c.index() < n && p.index() < n {
-                out[c.index()].push(p.0);
-                indeg[p.index()] += 1;
-            }
+            out[c.index()].push(p.0);
+            indeg[p.index()] += 1;
         }
         let mut queue: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
         let mut seen = 0usize;
@@ -114,9 +96,9 @@ impl Validate for Internet {
 
         // Transit edges always point up the tier hierarchy (a tier-1 has
         // no provider by definition).
-        let t1_with_provider = rels
-            .iter()
-            .filter(|&&(a, b, rel)| {
+        let t1_with_provider = self
+            .relationships()
+            .filter(|&(a, b, rel)| {
                 let customer = match rel {
                     Relationship::CustomerOfB => a,
                     Relationship::ProviderOfB => b,
@@ -134,7 +116,7 @@ impl Validate for Internet {
         // IXP layer.
         let mut bad_membership = 0usize;
         let mut ixp_on_policy_edge = 0usize;
-        for &(a, b, rel) in rels {
+        for (a, b, rel) in self.relationships() {
             let a_ixp = self.kind(a) == NodeKind::Ixp;
             let b_ixp = self.kind(b) == NodeKind::Ixp;
             match rel {
@@ -198,13 +180,12 @@ mod tests {
             [(0, 1), (1, 2), (0, 2)].map(|(a, b)| (NodeId(a), NodeId(b))),
         );
         let kinds = vec![NodeKind::Transit; 3];
-        let names = (0..3).map(|i| format!("AS{i}")).collect();
         let rels = vec![
             (NodeId(0), NodeId(1), Relationship::CustomerOfB),
             (NodeId(1), NodeId(2), Relationship::CustomerOfB),
             (NodeId(0), NodeId(2), Relationship::ProviderOfB),
         ];
-        let net = Internet::from_parts(g, kinds, names, rels);
+        let net = Internet::from_parts(g, kinds, rels);
         let rep = net.audit();
         assert!(
             rep.findings
@@ -219,12 +200,11 @@ mod tests {
         // Two tier-1s that do not peer with each other.
         let g = from_edges(3, [(0, 2), (1, 2)].map(|(a, b)| (NodeId(a), NodeId(b))));
         let kinds = vec![NodeKind::Tier1, NodeKind::Tier1, NodeKind::Transit];
-        let names = (0..3).map(|i| format!("AS{i}")).collect();
         let rels = vec![
             (NodeId(0), NodeId(2), Relationship::ProviderOfB),
             (NodeId(1), NodeId(2), Relationship::ProviderOfB),
         ];
-        let net = Internet::from_parts(g, kinds, names, rels);
+        let net = Internet::from_parts(g, kinds, rels);
         let rep = net.audit();
         assert!(
             rep.findings.iter().any(|f| f.invariant == "tier1.clique"),
@@ -237,9 +217,8 @@ mod tests {
         // A "peering" with an IXP endpoint is a taxonomy violation.
         let g = from_edges(2, [(0, 1)].map(|(a, b)| (NodeId(a), NodeId(b))));
         let kinds = vec![NodeKind::Access, NodeKind::Ixp];
-        let names = vec!["AS0".into(), "IXP1".into()];
         let rels = vec![(NodeId(0), NodeId(1), Relationship::Peer)];
-        let net = Internet::from_parts(g, kinds, names, rels);
+        let net = Internet::from_parts(g, kinds, rels);
         let rep = net.audit();
         assert!(
             rep.findings

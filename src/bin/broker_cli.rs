@@ -184,7 +184,7 @@ fn run(args: &[String], record_path: Option<&str>) -> Result<(), String> {
                 }
                 None => None,
             };
-            let labels: Vec<String> = net.names().to_vec();
+            let labels = net.names();
             let dot = netgraph::to_dot(
                 net.graph(),
                 highlight.as_ref().map(|s| s.brokers()),
